@@ -55,14 +55,6 @@ class EmbeddedMatrix:
     def n_points(self) -> int:
         return self.matrix.shape[1]
 
-    def covariance(self) -> np.ndarray:
-        """Feature-space covariance V V^T (M x M); computed on demand."""
-        return self.matrix @ self.matrix.T
-
-    def kernel(self) -> np.ndarray:
-        """Kernel matrix V^T V (N x N) of the embedded samples; on demand."""
-        return self.matrix.T @ self.matrix
-
 
 @dataclass(frozen=True)
 class RankDecision:

@@ -12,13 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .veronese import (
-    derivative_operator,
-    monomial_basis,
-    monomial_count,
-    monomial_position,
-    veronese_lift,
-)
+from .veronese import derivative_operator, monomial_count, raise_table, veronese_lift
 
 __all__ = [
     "HomogeneousPolynomial",
@@ -151,8 +145,12 @@ def basis_gradients(P: PolynomialBasis, x):
 
     Returns (D, m) for a single point x, or (N, D, m) for an (N, D) batch.
     """
+    return _lifted_gradients(P, veronese_lift(x, P.degree - 1))
+
+
+def _lifted_gradients(P: PolynomialBasis, lifted: np.ndarray) -> np.ndarray:
+    """basis_gradients from the degree-(n-1) lift of the points."""
     rows = _derivative_rows(P.degree, P.dim, P.coefficient_matrix())
-    lifted = veronese_lift(x, P.degree - 1)
     if lifted.ndim == 1:
         return np.einsum("kmj,j->km", rows, lifted)
     return np.einsum("kmj,nj->nkm", rows, lifted)
@@ -174,13 +172,9 @@ def lift_matrix(b, degree: int) -> LiftMatrix:
     b = np.asarray(b, dtype=float).ravel()
     if degree < 1:
         raise ValueError("lift needs degree >= 1")
-    dim = b.shape[0]
-    mat = np.zeros((monomial_count(degree - 1, dim), monomial_count(degree, dim)))
-    for mono in monomial_basis(degree - 1, dim):
-        for var in range(dim):
-            raised = list(mono.exponents)
-            raised[var] += 1
-            mat[mono.position, monomial_position(raised, dim)] += b[var]
+    table = raise_table(degree, b.shape[0])
+    mat = np.zeros((table.shape[0], monomial_count(degree, b.shape[0])))
+    mat[np.arange(table.shape[0])[:, None], table] += b
     mat.flags.writeable = False
     return LiftMatrix(b=b.copy(), degree=degree, matrix=mat)
 

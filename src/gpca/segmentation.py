@@ -24,8 +24,8 @@ from .fitting import (
     null_space_polynomials,
     select_rank,
 )
-from .polynomial import PolynomialBasis, basis_gradients, lift_matrix
-from .veronese import monomial_count
+from .polynomial import PolynomialBasis, _lifted_gradients, basis_gradients, lift_matrix
+from .veronese import monomial_count, veronese_lift
 
 __all__ = [
     "SubspaceModel",
@@ -150,23 +150,27 @@ def algebraic_distance2(P: PolynomialBasis, x, kappa: float = DEFAULT_KAPPA):
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    values, grads = _values_and_gradients(P, x)
+    d2 = _distance2(P.degree, *_values_and_gradients(P, x), kappa)
+    return float(d2[0]) if single else d2
+
+
+def _distance2(degree: int, values, grads, kappa: float) -> np.ndarray:
+    """algebraic_distance2 from basis values (N, m) and gradients (N, D, m)."""
     _, sv, rows = np.linalg.svd(grads, full_matrices=False)
     top = sv[:, 0]
     safe_top = np.where(top > 0.0, top, 1.0)
     # Per-point truncation scale: spurious directions shrink with the distance
     # itself, so the penalty floor is raised to the squared evident
     # displacement scale (degree * ||values|| / leading singular value).
-    scale = _TRUNCATION_MARGIN * P.degree * np.linalg.norm(values, axis=1) / safe_top
+    scale = _TRUNCATION_MARGIN * degree * np.linalg.norm(values, axis=1) / safe_top
     kappa_eff = np.maximum(kappa, scale**2)
     keep = _criterion_keep_mask(sv, kappa_eff)
     keep &= sv > PINV_RTOL * sv[:, :1]
     proj = np.einsum("nkm,nm->nk", rows, values)
     safe_sv = np.where(keep & (sv > 0.0), sv, 1.0)
     terms = np.where(keep, (proj / safe_sv) ** 2, 0.0)
-    d2 = terms.sum(axis=1) / float(P.degree) ** 2
-    d2 = np.where(top > 0.0, d2, np.inf)
-    return float(d2[0]) if single else d2
+    d2 = terms.sum(axis=1) / float(degree) ** 2
+    return np.where(top > 0.0, d2, np.inf)
 
 
 # Headroom factor between the evident displacement scale and the smallest
@@ -204,8 +208,13 @@ def select_point(
     onto a subspace not yet seen. Ties resolve to the lowest index.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    d2 = algebraic_distance2(P, X)
-    grad_norm = np.linalg.norm(basis_gradients(P, X), axis=(1, 2))
+    return _pick_point(X, P.degree, *_values_and_gradients(P, X), already_found, delta)
+
+
+def _pick_point(X, degree, values, grads, already_found, delta) -> int:
+    """select_point from the basis values and gradients at X."""
+    d2 = _distance2(degree, values, grads, DEFAULT_KAPPA)
+    grad_norm = np.linalg.norm(grads, axis=(1, 2))
     valid = (
         np.isfinite(d2)
         & (np.linalg.norm(X, axis=1) >= _MIN_POINT_NORM)
@@ -259,15 +268,6 @@ def _peel_matrix(matrix: np.ndarray, degree: int, model: SubspaceModel) -> np.nd
     return np.hstack(blocks)
 
 
-def _null_basis_from_matrix(matrix: np.ndarray, degree: int, dim: int, kappa: float):
-    """Vanishing basis of a (possibly stacked) fitting matrix, plus SVD parts."""
-    left, sv, _ = np.linalg.svd(matrix, full_matrices=False)
-    count = monomial_count(degree, dim)
-    decision = select_rank(sv, kappa, total=count)
-    basis = null_space_polynomials(left, degree, dim, decision.nullity)
-    return basis, decision, left, sv
-
-
 def peel(
     P: PolynomialBasis,
     model: SubspaceModel,
@@ -290,8 +290,9 @@ def peel(
             "empty null space after division; the subspace count is likely "
             "wrong or the noise is too large"
         )
-    basis, _, _, _ = _null_basis_from_matrix(stacked, P.degree - 1, P.dim, kappa)
-    return basis
+    left, sv, _ = np.linalg.svd(stacked, full_matrices=False)
+    decision = select_rank(sv, kappa, total=monomial_count(P.degree - 1, P.dim))
+    return null_space_polynomials(left, P.degree - 1, P.dim, decision.nullity)
 
 
 def assign(X, models) -> tuple[np.ndarray, np.ndarray]:
@@ -323,16 +324,22 @@ def segment(
     if n < 1:
         raise ValueError("need n >= 1 subspaces")
     embedded = embed(X, n)
-    points = embedded.points
-    fit_matrix = embedded.matrix
+    points, dim = embedded.points, embedded.dim
+    # The top stage reuses embed's lift and SVD. Each stage lifts the points one
+    # degree lower for its gradients; the next stage takes its values from it.
+    upper, left, sv = embedded.matrix.T, embedded.left_vectors, embedded.singular_values
     models: list[SubspaceModel] = []
     stages: list[StageRecord] = []
     for degree in range(n, 0, -1):
         try:
-            basis, decision, left, sv = _null_basis_from_matrix(
-                fit_matrix, degree, embedded.dim, kappa
-            )
-            idx = select_point(basis, points, tuple(models), delta)
+            if degree < n:
+                left, sv, _ = np.linalg.svd(fit_matrix, full_matrices=False)
+            decision = select_rank(sv, kappa, total=monomial_count(degree, dim))
+            basis = null_space_polynomials(left, degree, dim, decision.nullity)
+            lower = veronese_lift(points, degree - 1)
+            values = upper @ basis.coefficient_matrix().T
+            grads = _lifted_gradients(basis, lower)
+            idx = _pick_point(points, degree, values, grads, tuple(models), delta)
             model = model_at_point(basis, points[idx], kappa)
             models.append(model)
             stages.append(
@@ -346,8 +353,8 @@ def segment(
             if degree > 1:
                 # Carry the column space forward in compressed form; the left
                 # factor times the singular values preserves spectrum and span.
-                compressed = left * sv
-                fit_matrix = _peel_matrix(compressed, degree, model)
+                fit_matrix = _peel_matrix(left * sv, degree, model)
+                upper = lower
         except FitError as exc:
             if isinstance(exc, StageError):
                 raise

@@ -8,6 +8,11 @@ most significant. For degree 2 in three variables the order is
 
 and coefficient vectors, embedded data matrices, and the constant
 differentiation matrices all use positions in this order.
+
+A lift raises each coordinate once to the powers it carries (the power
+table) and multiplies the per-variable powers in variable order. One index
+table, (degree-(n-1) monomial, variable) -> position of the raised monomial,
+builds the differentiation and the multiplication-by-a-linear-form matrices.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ __all__ = [
     "monomial_basis",
     "monomial_position",
     "veronese_lift",
+    "raise_table",
     "derivative_operator",
 ]
 
@@ -116,13 +122,29 @@ def veronese_lift(x, degree: int) -> np.ndarray:
     single = x.ndim == 1
     pts = np.atleast_2d(x)
     exps = _exponent_matrix(degree, pts.shape[1])
-    out = np.ones((pts.shape[0], exps.shape[0]))
+    # Power table (D, 1 + len(carried), N) with x ** 0 == 1 in row 0. numpy
+    # squares exactly when 2 is a lone broadcast exponent but uses its SIMD pow
+    # inside an exponent array, so raising to the exponents the basis carries
+    # (just n when D == 1) rounds each x_v ** e_v as a per-variable loop does.
+    carried = np.unique(exps[exps > 0])
+    table = np.ones((pts.shape[1], carried.size + 1, pts.shape[0]))
+    table[:, 1:, :] = (pts[:, :, None] ** carried).transpose(1, 2, 0)
+    rows = np.searchsorted(carried, exps) + (exps > 0)
+    lifted = np.ones((exps.shape[0], pts.shape[0]))
     for var in range(pts.shape[1]):
-        col = exps[:, var]
-        active = col > 0
-        if active.any():
-            out[:, active] *= pts[:, var][:, None] ** col[active][None, :]
+        lifted *= table[var][rows[:, var]]
+    out = np.ascontiguousarray(lifted.T)
     return out[0] if single else out
+
+
+@lru_cache(maxsize=None)
+def raise_table(degree: int, dim: int) -> np.ndarray:
+    """Entry (f, v) is the degree-n position of monomial f of degree n-1 times x_v."""
+    positions = _position_table(degree, dim)
+    raised = _exponent_matrix(degree - 1, dim)[:, None, :] + np.eye(dim, dtype=np.int64)
+    table = np.array([[positions[tuple(e)] for e in row] for row in raised.tolist()])
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -136,14 +158,9 @@ def derivative_operator(degree: int, axis: int, dim: int) -> DerivativeOperator:
         raise ValueError(f"axis {axis} out of range for dim {dim}")
     if degree < 1:
         raise ValueError("differentiation needs degree >= 1")
-    lower_positions = _position_table(degree - 1, dim)
-    mat = np.zeros((monomial_count(degree, dim), monomial_count(degree - 1, dim)))
-    for mono in monomial_basis(degree, dim):
-        e = mono.exponents[axis]
-        if e == 0:
-            continue
-        lowered = list(mono.exponents)
-        lowered[axis] -= 1
-        mat[mono.position, lower_positions[tuple(lowered)]] = float(e)
+    # Monomial f of degree n-1 times x_axis differentiates back to (e_axis + 1) * f.
+    lower = _exponent_matrix(degree - 1, dim)
+    mat = np.zeros((monomial_count(degree, dim), lower.shape[0]))
+    mat[raise_table(degree, dim)[:, axis], np.arange(lower.shape[0])] = lower[:, axis] + 1.0
     mat.flags.writeable = False
     return DerivativeOperator(degree=degree, axis=axis, matrix=mat)

@@ -57,13 +57,6 @@ class TestEmbed:
             assert np.allclose(em.matrix[:, j], veronese_lift(em.points[j], 2))
             assert np.linalg.norm(em.points[j]) == pytest.approx(1.0)
 
-    def test_covariance_and_kernel_views(self):
-        X = np.random.default_rng(2).standard_normal((5, 3))
-        em = embed(X, 2)
-        assert em.covariance().shape == (6, 6)
-        assert em.kernel().shape == (5, 5)
-        assert np.allclose(em.covariance(), em.matrix @ em.matrix.T)
-
 
 class TestSelectRank:
     def test_numerically_zero_tail(self):

@@ -18,7 +18,7 @@ from gpca.polynomial import (
     product_of_linear_forms,
     to_text,
 )
-from gpca.veronese import monomial_basis, monomial_count, veronese_lift
+from gpca.veronese import monomial_basis, monomial_count, monomial_position, veronese_lift
 
 
 def to_sympy(p):
@@ -142,7 +142,35 @@ class TestBasisGradients:
             PolynomialBasis((p, q))
 
 
+def reference_lift_matrix(b, degree):
+    """Oracle: the multiplication matrix built through exponent-tuple lookups."""
+    dim = b.shape[0]
+    mat = np.zeros((monomial_count(degree - 1, dim), monomial_count(degree, dim)))
+    for mono in monomial_basis(degree - 1, dim):
+        for var in range(dim):
+            raised = list(mono.exponents)
+            raised[var] += 1
+            mat[mono.position, monomial_position(raised, dim)] += b[var]
+    return mat
+
+
 class TestLiftMatrix:
+    @pytest.mark.parametrize("dim", range(1, 7))
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_matches_lookup_oracle_bit_for_bit(self, degree, dim):
+        rng = np.random.default_rng(10 * degree + dim)
+        for b in (
+            rng.standard_normal(dim),
+            rng.standard_normal(dim) * 1e3,
+            -np.abs(rng.standard_normal(dim)),
+            np.where(np.arange(dim) % 2 == 0, 0.0, -rng.uniform(1.0, 1e3, dim)),
+            np.full(dim, -0.0),
+        ):
+            actual = lift_matrix(b, degree).matrix
+            expected = reference_lift_matrix(b, degree)
+            assert np.array_equal(actual, expected)
+            assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
     def test_three_variable_layout(self):
         b = np.array([7.0, 11.0, 13.0])
         mat = lift_matrix(b, 2).matrix

@@ -1,5 +1,8 @@
 """The descending-degree segmentation loop and its building blocks."""
 
+import collections
+import sys
+
 import numpy as np
 import pytest
 from util import (
@@ -25,6 +28,7 @@ from gpca.segmentation import (
 )
 from gpca.synthgen import ArrangementSpec, angle_error, generate, generate_from_bases
 from gpca.synthgen import _random_subspace_bases
+from gpca.veronese import monomial_count
 
 
 LINE_MODEL = SubspaceModel(
@@ -290,6 +294,55 @@ class TestSegment:
             other = rng.standard_normal(6)
             other /= np.linalg.norm(other)
             assert np.linalg.norm(other @ em.matrix) >= best - 1e-12
+
+
+class TestSegmentWork:
+    """One segment call lifts, factors and differentiates no more than it needs."""
+
+    def test_one_svd_one_lift_per_degree_one_gradient_batch_per_stage(self, monkeypatch):
+        import gpca
+        from gpca import polynomial, veronese
+
+        X, _, _ = generate(ArrangementSpec(5, (4, 4, 4, 4), 60, 0.01, seed=12))
+        N, M = X.shape[0], monomial_count(4, 5)
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append((name, args))
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        # Wrap each function wherever a gpca module holds a reference to it.
+        holders = [gpca, np.linalg] + [
+            module for modname, module in sys.modules.items() if modname.startswith("gpca.")
+        ]
+        for name, owner, attr in [
+            ("lift", veronese, "veronese_lift"),
+            ("svd", np.linalg, "svd"),
+            ("gradients", polynomial, "_lifted_gradients"),
+        ]:
+            original = getattr(owner, attr)
+            for holder in holders:
+                for key, value in list(vars(holder).items()):
+                    if value is original:
+                        monkeypatch.setattr(holder, key, spy(name, original))
+
+        seg = segment(X, 4)
+        assert len(seg.stages) == 4
+
+        embedded_svds = [a for name, a in calls if name == "svd" and np.shape(a[0]) == (M, N)]
+        assert len(embedded_svds) == 1
+        batch_lifts = collections.Counter(
+            a[1] for name, a in calls if name == "lift" and np.shape(a[0]) == (N, 5)
+        )
+        assert set(batch_lifts) == {0, 1, 2, 3, 4}
+        assert max(batch_lifts.values()) == 1
+        batch_gradients = [
+            a for name, a in calls if name == "gradients" and np.ndim(a[1]) == 2
+        ]
+        assert len(batch_gradients) == 4
 
 
 class TestRejectOutliers:

@@ -12,6 +12,7 @@ from gpca.veronese import (
     monomial_basis,
     monomial_count,
     monomial_position,
+    raise_table,
     veronese_lift,
 )
 
@@ -26,6 +27,51 @@ def brute_force_exponents(degree, dim):
         ),
         reverse=True,
     )
+
+
+def reference_lift(x, degree):
+    """Oracle: the per-variable power loop, x_v ** e_v multiplied in variable order."""
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    pts = np.atleast_2d(x)
+    exps = np.array([m.exponents for m in monomial_basis(degree, pts.shape[1])], dtype=np.int64)
+    exps = exps.reshape(-1, pts.shape[1])
+    out = np.ones((pts.shape[0], exps.shape[0]))
+    for var in range(pts.shape[1]):
+        col = exps[:, var]
+        active = col > 0
+        if active.any():
+            out[:, active] *= pts[:, var][:, None] ** col[active][None, :]
+    return out[0] if single else out
+
+
+def reference_derivative_matrix(degree, axis, dim):
+    """Oracle: the differentiation matrix built through exponent-tuple lookups."""
+    lower_positions = {m.exponents: m.position for m in monomial_basis(degree - 1, dim)}
+    mat = np.zeros((monomial_count(degree, dim), monomial_count(degree - 1, dim)))
+    for mono in monomial_basis(degree, dim):
+        e = mono.exponents[axis]
+        if e == 0:
+            continue
+        lowered = list(mono.exponents)
+        lowered[axis] -= 1
+        mat[mono.position, lower_positions[tuple(lowered)]] = float(e)
+    return mat
+
+
+def assert_identical(actual, expected):
+    """Same shape, same values and the same sign on every zero."""
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def mixed_scale_points(rng, count, dim):
+    """Coordinates that are exact zeros, negative, of order 1 or of order 1e3."""
+    X = rng.standard_normal((count, dim)) * rng.choice([1.0, -1.0, 1e3, -1e3], (count, dim))
+    X[rng.random((count, dim)) < 0.15] = 0.0
+    X[rng.random((count, dim)) < 0.05] = -0.0
+    return X
 
 
 class TestMonomialCount:
@@ -103,7 +149,58 @@ class TestVeroneseLift:
             assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
 
 
+class TestLiftOracle:
+    """The power-table lift is bit-identical to the per-variable power loop."""
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    @pytest.mark.parametrize("degree", range(0, 7))
+    def test_batches_match_bit_for_bit(self, degree, dim):
+        rng = np.random.default_rng(100 * degree + dim)
+        for count in (2, 3, 9, 40, 400):
+            X = mixed_scale_points(rng, count, dim)
+            assert_identical(veronese_lift(X, degree), reference_lift(X, degree))
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    @pytest.mark.parametrize("degree", range(0, 7))
+    def test_single_points_match_bit_for_bit(self, degree, dim):
+        rng = np.random.default_rng(1000 + 100 * degree + dim)
+        for x in mixed_scale_points(rng, 6, dim):
+            assert_identical(veronese_lift(x, degree), reference_lift(x, degree))
+        assert_identical(veronese_lift(np.zeros(dim), degree), reference_lift(np.zeros(dim), degree))
+
+    def test_non_contiguous_input(self):
+        X = np.asfortranarray(mixed_scale_points(np.random.default_rng(4), 30, 5))
+        assert_identical(veronese_lift(X, 4), reference_lift(X, 4))
+        assert_identical(veronese_lift(X[::2, 1:], 3), reference_lift(X[::2, 1:], 3))
+
+
+class TestRaiseTable:
+    @pytest.mark.parametrize("degree, dim", [(1, 1), (1, 4), (2, 3), (3, 2), (4, 5)])
+    def test_entries_are_raised_monomials(self, degree, dim):
+        table = raise_table(degree, dim)
+        lower = monomial_basis(degree - 1, dim)
+        assert table.shape == (len(lower), dim)
+        for mono in lower:
+            for var in range(dim):
+                raised = list(mono.exponents)
+                raised[var] += 1
+                assert table[mono.position, var] == monomial_position(raised, dim)
+
+    def test_degree_zero_rejected(self):
+        with pytest.raises(ValueError):
+            raise_table(0, 3)
+
+
 class TestDerivativeOperator:
+    @pytest.mark.parametrize("dim", range(1, 7))
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_matches_lookup_oracle(self, degree, dim):
+        for axis in range(dim):
+            assert_identical(
+                derivative_operator(degree, axis, dim).matrix,
+                reference_derivative_matrix(degree, axis, dim),
+            )
+
     def test_degree_two_first_variable(self):
         mat = derivative_operator(2, 0, 3).matrix
         expected = np.array(
