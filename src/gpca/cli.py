@@ -137,16 +137,15 @@ def _parse_outliers(flag):
 
 def cmd_segment(args) -> int:
     X, _ = _load_points(args.data)
-    basis, _ = fit_vanishing(embed(X, args.n), args.kappa)
     outliers = np.zeros(X.shape[0], dtype=bool)
     if args.outliers:
+        basis, _ = fit_vanishing(embed(X, args.n), args.kappa)
         mode, level = _parse_outliers(args.outliers)
-        inliers = reject_outliers(X, basis, mode, level)
-        outliers = ~inliers
-        X_fit = X[inliers]
+        outliers = ~reject_outliers(X, basis, mode, level)
+        seg = segment(X[~outliers], args.n, args.kappa, args.delta)
     else:
-        X_fit = X
-    seg = segment(X_fit, args.n, args.kappa, args.delta)
+        seg = segment(X, args.n, args.kappa, args.delta)
+        basis = seg.vanishing_basis
     labels = np.full(X.shape[0], -1, dtype=int)
     residuals = np.full(X.shape[0], np.nan)
     labels[~outliers] = seg.labels

@@ -229,6 +229,24 @@ def _probe(X, degree, level, dim, kappa, node: str, vanish_tol: float) -> RankPr
     )
 
 
+def _probe_sweep(X, n_max, kappa, vanish_tol, node: str):
+    """Rank probes on PCA projections in (level, degree) order.
+
+    Yields (projected points, probe) for levels 1..D-1 and degrees
+    1..n_max, moving to the next level once the degree needs more monomials
+    than there are points.
+    """
+    N, D = X.shape
+    for level in range(1, D):
+        _, projected = project(X, level + 1, kind="pca")
+        for degree in range(1, n_max + 1):
+            if N < monomial_count(degree, level + 1):
+                break
+            yield projected, _probe(
+                projected, degree, level, level + 1, kappa, node=node, vanish_tol=vanish_tol
+            )
+
+
 def count_hyperplanes(
     X, n_max: int, kappa: float = DEFAULT_KAPPA, vanish_tol: float = DEFAULT_VANISH_TOL
 ) -> int:
@@ -262,19 +280,11 @@ def discover_equal_dim(
     cannot stop early with an undersized answer.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    N, D = X.shape
     probes: list[RankProbe] = []
-    for level in range(1, D):
-        _, projected = project(X, level + 1, kind="pca")
-        for degree in range(1, n_max + 1):
-            if N < monomial_count(degree, level + 1):
-                break
-            probe = _probe(
-                projected, degree, level, level + 1, kappa, node="", vanish_tol=vanish_tol
-            )
-            probes.append(probe)
-            if probe.nullity >= 1:
-                return DiscoveryResult(d=level, n=degree, rank_table=tuple(probes))
+    for _, probe in _probe_sweep(X, n_max, kappa, vanish_tol, node=""):
+        probes.append(probe)
+        if probe.nullity >= 1:
+            return DiscoveryResult(d=probe.level, n=probe.degree, rank_table=tuple(probes))
     raise DiscoveryError(
         f"no equal-dimension arrangement found with up to {n_max} subspaces"
     )
@@ -353,60 +363,53 @@ def recursive_segment(
         # projections can align with the arrangement and fake structure, in
         # which case probing simply continues at the next (level, degree).
         skipped = []
-        for level in range(1, cur_dim):
-            _, projected = project(local, level + 1, kind="pca")
-            for degree in range(1, n_max + 1):
-                if local.shape[0] < monomial_count(degree, level + 1):
-                    break
-                probe = _probe(
-                    projected, degree, level, level + 1, kappa, node=name,
-                    vanish_tol=vanish_tol,
+        for projected, probe in _probe_sweep(local, n_max, kappa, vanish_tol, node=name):
+            probes.append(probe)
+            level, degree = probe.level, probe.degree
+            if degree < 2 or probe.nullity < 1:
+                continue
+            try:
+                split = segment(projected, degree, kappa, delta)
+            except FitError as exc:
+                skipped.append(f"l={level} i={degree}: split failed ({exc})")
+                continue
+            groups = [
+                np.flatnonzero(split.labels == g)
+                for g in range(len(split.models))
+            ]
+            groups = [g for g in groups if g.size > 0]
+            stray = int(np.sum(split.residuals > membership_tol))
+            if len(groups) < 2 or stray > _MAX_STRAY_FRACTION * local.shape[0]:
+                skipped.append(
+                    f"l={level} i={degree}: unusable split "
+                    f"({len(groups)} groups, {stray} stray points)"
                 )
-                probes.append(probe)
-                if degree < 2 or probe.nullity < 1:
-                    continue
-                try:
-                    split = segment(projected, degree, kappa, delta)
-                except FitError as exc:
-                    skipped.append(f"l={level} i={degree}: split failed ({exc})")
-                    continue
-                groups = [
-                    np.flatnonzero(split.labels == g)
-                    for g in range(len(split.models))
-                ]
-                groups = [g for g in groups if g.size > 0]
-                stray = int(np.sum(split.residuals > membership_tol))
-                if len(groups) < 2 or stray > _MAX_STRAY_FRACTION * local.shape[0]:
-                    skipped.append(
-                        f"l={level} i={degree}: unusable split "
-                        f"({len(groups)} groups, {stray} stray points)"
+                continue
+            children = []
+            for child_index, group in enumerate(groups):
+                children.append(
+                    recurse(
+                        local[group],
+                        indices[group],
+                        cur_basis,
+                        depth + 1,
+                        f"{name}.{child_index}" if name else str(child_index),
                     )
-                    continue
-                children = []
-                for child_index, group in enumerate(groups):
-                    children.append(
-                        recurse(
-                            local[group],
-                            indices[group],
-                            cur_basis,
-                            depth + 1,
-                            f"{name}.{child_index}" if name else str(child_index),
-                        )
-                    )
-                diagnostic = "; ".join(skipped)
-                if stray:
-                    note = f"{stray} points beyond membership tolerance"
-                    diagnostic = f"{diagnostic}; {note}" if diagnostic else note
-                return DiscoveryNode(
-                    name=name,
-                    n_points=len(indices),
-                    ambient_dim=cur_dim,
-                    tightened_to=tightened_to,
-                    split_degree=degree,
-                    split_level=level,
-                    diagnostic=diagnostic,
-                    children=tuple(children),
                 )
+            diagnostic = "; ".join(skipped)
+            if stray:
+                note = f"{stray} points beyond membership tolerance"
+                diagnostic = f"{diagnostic}; {note}" if diagnostic else note
+            return DiscoveryNode(
+                name=name,
+                n_points=len(indices),
+                ambient_dim=cur_dim,
+                tightened_to=tightened_to,
+                split_degree=degree,
+                split_level=level,
+                diagnostic=diagnostic,
+                children=tuple(children),
+            )
         return leaf("; ".join(skipped))
 
     tree = recurse(X, np.arange(N), np.eye(D), depth=0, name="")

@@ -25,15 +25,12 @@ __all__ = ["ALGORITHMS", "ExperimentConfig", "TrialRow", "run_experiment", "rows
 
 ALGORITHMS = (
     "gpca",
-    "pfa-stub",
     "ksub",
     "em",
     "gpca+ksub",
     "gpca+em",
     "gpca+ksub+em",
 )
-
-_PFA_MESSAGE = "polynomial factorization baseline is not implemented; out of scope"
 
 
 @dataclass(frozen=True)
@@ -106,8 +103,6 @@ def _run_algorithm(name, X, true_models, true_labels, config, seed_seq, warm):
             iterations,
         )
 
-    if name == "pfa-stub":
-        raise FitError(_PFA_MESSAGE)
     if name == "ksub":
         seg, iters = k_subspaces(X, n, dims, base_cfg)
         return finish(seg, iters)
@@ -197,18 +192,23 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRow]:
     return rows
 
 
+def _ok_trials(rows, algorithm, sigma=None):
+    """Successful trial rows of one algorithm, at one sigma unless sigma is None."""
+    return [
+        r
+        for r in rows
+        if r.kind == "trial"
+        and r.algorithm == algorithm
+        and r.status == "ok"
+        and (sigma is None or r.sigma == sigma)
+    ]
+
+
 def _summaries(config, rows):
     out = []
     for sigma in config.noise_grid:
         for name in config.algorithms:
-            cell = [
-                r
-                for r in rows
-                if r.kind == "trial"
-                and r.algorithm == name
-                and r.sigma == sigma
-                and r.status == "ok"
-            ]
+            cell = _ok_trials(rows, name, sigma)
             if not cell:
                 continue
             out.append(
@@ -228,34 +228,21 @@ def _summaries(config, rows):
     return out
 
 
-def mean_iterations(rows, algorithm, sigma=None) -> float:
-    """Mean iteration count over successful trial rows of one algorithm."""
-    cell = [
-        r
-        for r in rows
-        if r.kind == "trial"
-        and r.algorithm == algorithm
-        and r.status == "ok"
-        and (sigma is None or r.sigma == sigma)
-    ]
+def _ok_mean(rows, algorithm, sigma, column) -> float:
+    cell = _ok_trials(rows, algorithm, sigma)
     if not cell:
         raise ValueError(f"no successful rows for {algorithm!r}")
-    return float(np.mean([r.iterations for r in cell]))
+    return float(np.mean([getattr(r, column) for r in cell]))
+
+
+def mean_iterations(rows, algorithm, sigma=None) -> float:
+    """Mean iteration count over successful trial rows of one algorithm."""
+    return _ok_mean(rows, algorithm, sigma, "iterations")
 
 
 def mean_error(rows, algorithm, sigma=None) -> float:
     """Mean angle error over successful trial rows of one algorithm."""
-    cell = [
-        r
-        for r in rows
-        if r.kind == "trial"
-        and r.algorithm == algorithm
-        and r.status == "ok"
-        and (sigma is None or r.sigma == sigma)
-    ]
-    if not cell:
-        raise ValueError(f"no successful rows for {algorithm!r}")
-    return float(np.mean([r.error_degrees for r in cell]))
+    return _ok_mean(rows, algorithm, sigma, "error_degrees")
 
 
 def rows_to_csv(rows) -> str:

@@ -67,14 +67,13 @@ class RankDecision:
     kappa: float
 
 
-def embed(X, degree: int, *, normalize: bool = True, warn: bool = True) -> EmbeddedMatrix:
+def embed(X, degree: int, *, warn: bool = True) -> EmbeddedMatrix:
     """Assemble the embedded data matrix of a point set at the given degree.
 
-    Points are scaled to unit norm first (unless `normalize=False`): lifted
-    entries grow like ||x||^degree, and normalization equalizes each point's
-    weight in the algebraic least squares. Issues a SampleSufficiencyWarning
-    when there are too few points to pin down even a one-dimensional null
-    space.
+    Points are scaled to unit norm first: lifted entries grow like
+    ||x||^degree, and normalization equalizes each point's weight in the
+    algebraic least squares. Issues a SampleSufficiencyWarning when there are
+    too few points to pin down even a one-dimensional null space.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -90,7 +89,7 @@ def embed(X, degree: int, *, normalize: bool = True, warn: bool = True) -> Embed
             SampleSufficiencyWarning,
             stacklevel=2,
         )
-    pts = unit_rows(X) if normalize else X
+    pts = unit_rows(X)
     matrix = veronese_lift(pts, degree).T
     left, sv, _ = np.linalg.svd(matrix, full_matrices=False)
     return EmbeddedMatrix(
@@ -103,19 +102,40 @@ def embed(X, degree: int, *, normalize: bool = True, warn: bool = True) -> Embed
     )
 
 
-def criterion_rank(
+def _rank_criterion(sv: np.ndarray, kappa, max_rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Penalized spectral-gap rank of each row of descending spectra.
+
+    `sv` is (n, K) with K >= max_rank, zero-padded past each row's values;
+    kappa is a scalar or one value per row. Returns the ranks (n,) that
+    minimize sv_{r+1}^2 / sum_{j<=r} sv_j^2 + kappa * r over r = 1..max_rank
+    (ties to the lowest r) and the criterion values (n, max_rank). Past a
+    row's last nonzero value the criterion is kappa * r, which rises, so
+    exact zeros never win.
+    """
+    energy = np.cumsum(sv**2, axis=1)[:, :max_rank]
+    trailing = np.concatenate([sv[:, 1:] ** 2, np.zeros((len(sv), 1))], axis=1)[:, :max_rank]
+    safe_energy = np.where(energy > 0.0, energy, 1.0)
+    ranks = np.arange(1, max_rank + 1)
+    values = trailing / safe_energy + np.reshape(kappa, (-1, 1)) * ranks
+    return np.argmin(values, axis=1) + 1, values
+
+
+def select_rank(
     singular_values,
-    kappa: float,
+    kappa: float = DEFAULT_KAPPA,
     *,
     total: int | None = None,
-    min_rank: int = 1,
-    max_rank: int | None = None,
+    allow_full_rank: bool = False,
 ) -> RankDecision:
     """Effective rank of a descending spectrum by penalized spectral gap.
 
-    Minimizes sigma_{r+1}^2 / sum_{j<=r} sigma_j^2 + kappa * r over candidate
-    ranks; singular values past the end of the list count as exact zeros.
-    Exact zeros short-circuit the search to the count of nonzero values.
+    Minimizes sigma_{r+1}^2 / sum_{j<=r} sigma_j^2 + kappa * r; singular
+    values past the end of the list, up to `total`, count as exact zeros.
+    Candidates run over ranks 1 .. total-1 so that a fit always keeps at
+    least one vanishing polynomial; rank probes in model discovery and the
+    gradient rank pass `allow_full_rank=True`, which adds the rank == total
+    candidate (its criterion value is exactly kappa * total) and lets
+    nullity 0 mean "no deficiency".
     """
     sv = np.asarray(singular_values, dtype=float).ravel()
     if sv.size == 0:
@@ -129,53 +149,20 @@ def criterion_rank(
         raise ValueError("total cannot be smaller than the number of values given")
     if not np.any(sv > 0):
         raise DegenerateDataError("all singular values are zero")
-    max_rank = total if max_rank is None else int(max_rank)
-    max_rank = min(max_rank, total)
-    min_rank = max(1, int(min_rank))
-    if min_rank > max_rank:
-        raise ValueError(f"no candidate ranks in [{min_rank}, {max_rank}]")
-
-    # Exact zeros (including values missing from an economy SVD) bound the
-    # rank from above; the criterion still chooses within the remaining range.
-    nonzero = int(np.count_nonzero(sv > 0.0))
-    max_rank = min(max_rank, max(nonzero, min_rank))
-
-    padded = np.zeros(total + 1)
-    padded[: sv.size] = sv
-    energy = np.cumsum(padded[:total] ** 2)
-    candidates = np.arange(min_rank, max_rank + 1)
-    values = padded[candidates] ** 2 / energy[candidates - 1] + kappa * candidates
-    rank = int(candidates[int(np.argmin(values))])
+    max_rank = total if allow_full_rank else total - 1
+    if max_rank < 1:
+        raise ValueError(f"no candidate ranks in [1, {max_rank}]")
+    padded = np.zeros((1, total))
+    padded[0, : sv.size] = sv
+    ranks, values = _rank_criterion(padded, kappa, max_rank)
+    rank = int(ranks[0])
     return RankDecision(
         effective_rank=rank,
         nullity=total - rank,
-        criterion_values=tuple(float(v) for v in values),
-        candidate_ranks=tuple(int(c) for c in candidates),
+        criterion_values=tuple(float(v) for v in values[0]),
+        candidate_ranks=tuple(range(1, max_rank + 1)),
         kappa=float(kappa),
     )
-
-
-def select_rank(
-    singular_values,
-    kappa: float = DEFAULT_KAPPA,
-    max_nullity: int | None = None,
-    *,
-    total: int | None = None,
-    allow_full_rank: bool = False,
-) -> RankDecision:
-    """Pick the effective rank of an embedded data matrix spectrum.
-
-    Candidates run over ranks 1 .. total-1 so that a fit always keeps at
-    least one vanishing polynomial; rank probes in model discovery pass
-    `allow_full_rank=True`, which adds the rank == total candidate (its
-    criterion value is exactly kappa * total) and lets nullity 0 mean "no
-    deficiency". `max_nullity` caps the search from the other side.
-    """
-    sv = np.asarray(singular_values, dtype=float).ravel()
-    total = int(total) if total is not None else sv.size
-    min_rank = 1 if max_nullity is None else max(1, total - int(max_nullity))
-    max_rank = total if allow_full_rank else total - 1
-    return criterion_rank(sv, kappa, total=total, min_rank=min_rank, max_rank=max_rank)
 
 
 def null_space_polynomials(
@@ -204,30 +191,33 @@ def null_space_polynomials(
     return PolynomialBasis(polys)
 
 
-def fit_vanishing(
-    embedded: EmbeddedMatrix,
-    kappa: float = DEFAULT_KAPPA,
-    max_nullity: int | None = None,
+def _null_space_fit(
+    left_vectors: np.ndarray,
+    singular_values: np.ndarray,
+    degree: int,
+    dim: int,
+    kappa: float,
 ) -> tuple[PolynomialBasis, RankDecision]:
-    """Vanishing basis plus the rank decision that sized it."""
-    count = monomial_count(embedded.degree, embedded.dim)
-    decision = select_rank(
-        embedded.singular_values, kappa, max_nullity, total=count
-    )
-    basis = null_space_polynomials(
-        embedded.left_vectors,
-        embedded.degree,
-        embedded.dim,
-        decision.nullity,
-    )
+    """Vanishing basis and rank decision from a factored fitting matrix."""
+    decision = select_rank(singular_values, kappa, total=monomial_count(degree, dim))
+    basis = null_space_polynomials(left_vectors, degree, dim, decision.nullity)
     return basis, decision
 
 
-def vanishing_basis(
-    embedded: EmbeddedMatrix,
-    kappa: float = DEFAULT_KAPPA,
-    max_nullity: int | None = None,
-) -> PolynomialBasis:
+def fit_vanishing(
+    embedded: EmbeddedMatrix, kappa: float = DEFAULT_KAPPA
+) -> tuple[PolynomialBasis, RankDecision]:
+    """Vanishing basis plus the rank decision that sized it."""
+    return _null_space_fit(
+        embedded.left_vectors,
+        embedded.singular_values,
+        embedded.degree,
+        embedded.dim,
+        kappa,
+    )
+
+
+def vanishing_basis(embedded: EmbeddedMatrix, kappa: float = DEFAULT_KAPPA) -> PolynomialBasis:
     """Least-squares basis of polynomials vanishing on the embedded points."""
-    basis, _ = fit_vanishing(embedded, kappa, max_nullity)
+    basis, _ = fit_vanishing(embedded, kappa)
     return basis

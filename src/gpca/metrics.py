@@ -17,9 +17,8 @@ def confusion_matrix(true_labels, estimated_labels, size: int | None = None):
     if size is None:
         size = int(max(true_labels.max(), estimated_labels.max())) + 1
     conf = np.zeros((size, size), dtype=int)
-    for t, e in zip(true_labels, estimated_labels):
-        if t >= 0 and e >= 0:
-            conf[t, e] += 1
+    both = (true_labels >= 0) & (estimated_labels >= 0)
+    np.add.at(conf, (true_labels[both], estimated_labels[both]), 1)
     return conf
 
 

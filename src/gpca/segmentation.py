@@ -19,9 +19,9 @@ from .errors import FitError, StageError
 from .fitting import (
     DEFAULT_KAPPA,
     EmbeddedMatrix,
-    criterion_rank,
+    _null_space_fit,
+    _rank_criterion,
     embed,
-    null_space_polynomials,
     select_rank,
 )
 from .polynomial import PolynomialBasis, _lifted_gradients, basis_gradients, lift_matrix
@@ -55,10 +55,12 @@ _MIN_POINT_NORM = 1e-12
 # intersections, applied at floating-point scale.
 _GRADIENT_FLOOR = 0.05
 
-# Smallest/largest singular-value ratio above which a peeled stage is deemed
-# to have no null space at all. Deliberately coarse: correct runs at 5% noise
-# reach ~0.35 while wrong-subspace-count runs can sit lower, so only clearly
-# degenerate stacks are rejected here.
+# Smallest/largest singular-value ratio above which `peel` deems a peeled
+# stack to have no null space at all. `segment` does not apply it: its
+# degree-2 peel reaches 0.565 on
+# generate(ArrangementSpec(3, (2,)*4, 200, 0.01, seed=3051551997)) and 0.567
+# on generate(ArrangementSpec(3, (2,)*4, 200, 0.02, seed=2074859209)), fits
+# 24.5 and 16.6 degrees off that are still usable warm starts.
 _PEEL_NULLSPACE_RTOL = 0.5
 
 
@@ -114,12 +116,15 @@ class Segmentation:
     """Full segmentation output: models, labels, residuals, diagnostics.
 
     Labels index into `models`; -1 marks points set aside as outliers.
+    `vanishing_basis` is the top-degree basis `segment` fitted to all points;
+    it is None for segmentations made another way.
     """
 
     models: tuple[SubspaceModel, ...]
     labels: np.ndarray = field(repr=False)
     residuals: np.ndarray = field(repr=False)
     stages: tuple[StageRecord, ...] = ()
+    vanishing_basis: PolynomialBasis | None = field(default=None, repr=False)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -164,7 +169,8 @@ def _distance2(degree: int, values, grads, kappa: float) -> np.ndarray:
     # displacement scale (degree * ||values|| / leading singular value).
     scale = _TRUNCATION_MARGIN * degree * np.linalg.norm(values, axis=1) / safe_top
     kappa_eff = np.maximum(kappa, scale**2)
-    keep = _criterion_keep_mask(sv, kappa_eff)
+    ranks, _ = _rank_criterion(sv, kappa_eff, sv.shape[1])
+    keep = np.arange(sv.shape[1]) < ranks[:, None]
     keep &= sv > PINV_RTOL * sv[:, :1]
     proj = np.einsum("nkm,nm->nk", rows, values)
     safe_sv = np.where(keep & (sv > 0.0), sv, 1.0)
@@ -176,22 +182,6 @@ def _distance2(degree: int, values, grads, kappa: float) -> np.ndarray:
 # Headroom factor between the evident displacement scale and the smallest
 # singular value treated as a genuine complement direction.
 _TRUNCATION_MARGIN = 20.0
-
-
-def _criterion_keep_mask(sv: np.ndarray, kappa: np.ndarray) -> np.ndarray:
-    """Per-row boolean mask keeping the criterion-rank leading singular values.
-
-    Vectorized form of the spectral-gap criterion: minimize
-    sv_{r+1}^2 / sum_{j<=r} sv_j^2 + kappa * r over r = 1..K per row;
-    kappa may vary per row.
-    """
-    n, k = sv.shape
-    energy = np.cumsum(sv**2, axis=1)
-    trailing = np.concatenate([sv[:, 1:] ** 2, np.zeros((n, 1))], axis=1)
-    safe_energy = np.where(energy > 0.0, energy, 1.0)
-    crit = trailing / safe_energy + np.atleast_1d(kappa)[:, None] * np.arange(1, k + 1)
-    ranks = np.argmin(crit, axis=1) + 1
-    return np.arange(k) < ranks[:, None]
 
 
 def select_point(
@@ -248,8 +238,7 @@ def model_at_point(P: PolynomialBasis, y, kappa: float = DEFAULT_KAPPA) -> Subsp
     left, sv, _ = np.linalg.svd(grads, full_matrices=True)
     if sv[0] <= 0.0:
         raise FitError("polynomial gradients vanish at the chosen point")
-    decision = criterion_rank(sv, kappa, total=sv.size, min_rank=1, max_rank=sv.size)
-    rank = decision.effective_rank
+    rank = select_rank(sv, kappa, allow_full_rank=True).effective_rank
     if rank >= D:
         raise FitError(
             "gradients span the whole space; the point is not on any subspace "
@@ -283,16 +272,14 @@ def peel(
     if P.degree < 2:
         raise ValueError("cannot peel below degree 1")
     matrix = embedded.matrix if isinstance(embedded, EmbeddedMatrix) else np.asarray(embedded)
-    stacked = _peel_matrix(matrix, P.degree, model)
-    sv = np.linalg.svd(stacked, compute_uv=False)
+    left, sv, _ = np.linalg.svd(_peel_matrix(matrix, P.degree, model), full_matrices=False)
     if sv.size == monomial_count(P.degree - 1, P.dim) and sv[-1] > _PEEL_NULLSPACE_RTOL * sv[0]:
         raise FitError(
             "empty null space after division; the subspace count is likely "
             "wrong or the noise is too large"
         )
-    left, sv, _ = np.linalg.svd(stacked, full_matrices=False)
-    decision = select_rank(sv, kappa, total=monomial_count(P.degree - 1, P.dim))
-    return null_space_polynomials(left, P.degree - 1, P.dim, decision.nullity)
+    basis, _ = _null_space_fit(left, sv, P.degree - 1, P.dim, kappa)
+    return basis
 
 
 def assign(X, models) -> tuple[np.ndarray, np.ndarray]:
@@ -334,8 +321,9 @@ def segment(
         try:
             if degree < n:
                 left, sv, _ = np.linalg.svd(fit_matrix, full_matrices=False)
-            decision = select_rank(sv, kappa, total=monomial_count(degree, dim))
-            basis = null_space_polynomials(left, degree, dim, decision.nullity)
+            basis, decision = _null_space_fit(left, sv, degree, dim, kappa)
+            if degree == n:
+                top_basis = basis
             lower = veronese_lift(points, degree - 1)
             values = upper @ basis.coefficient_matrix().T
             grads = _lifted_gradients(basis, lower)
@@ -365,6 +353,7 @@ def segment(
         labels=labels,
         residuals=residuals,
         stages=tuple(stages),
+        vanishing_basis=top_basis,
     )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gpca.baselines import IterativeConfig, em_mixture_pca, k_subspaces
-from gpca.metrics import matched_accuracy
+from gpca.metrics import confusion_matrix, matched_accuracy
 from gpca.segmentation import segment
 from gpca.synthgen import ArrangementSpec, angle_error, generate
 
@@ -118,3 +118,14 @@ class TestLabelPermutationInvariance:
         X, _, labels = generate(ArrangementSpec(3, (2, 2), 100, 0.0, seed=6))
         permuted = 1 - labels
         assert matched_accuracy(labels, permuted) == 1.0
+
+    def test_confusion_matrix_skips_outlier_marks(self):
+        rng = np.random.default_rng(7)
+        true = rng.integers(-1, 4, 300)
+        est = rng.integers(-1, 4, 300)
+        reference = np.zeros((4, 4), dtype=int)
+        for t, e in zip(true, est):
+            if t >= 0 and e >= 0:
+                reference[t, e] += 1
+        assert np.array_equal(confusion_matrix(true, est), reference)
+        assert np.array_equal(confusion_matrix(true, est, size=6)[:4, :4], reference)

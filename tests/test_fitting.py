@@ -8,6 +8,7 @@ from gpca._linalg import max_principal_angle
 from gpca.errors import DegenerateDataError
 from gpca.fitting import (
     SampleSufficiencyWarning,
+    _rank_criterion,
     embed,
     fit_vanishing,
     select_rank,
@@ -84,16 +85,83 @@ class TestSelectRank:
         free = select_rank(sv, 1e-6, allow_full_rank=True)
         assert (free.effective_rank, free.nullity) == (3, 0)
 
-    def test_max_nullity_cap(self):
-        sv = np.array([5.0, 4.0, 1e-9, 1e-10])
-        capped = select_rank(sv, 1e-6, max_nullity=1)
-        assert capped.nullity == 1
-
     def test_validation(self):
         with pytest.raises(ValueError):
             select_rank(np.array([1.0, 2.0]), 1e-6)  # ascending
         with pytest.raises(ValueError):
             select_rank(np.array([1.0, 0.5]), -1.0)
+
+
+def reference_criterion_rank(sv, kappa, total, min_rank, max_rank):
+    """The scalar criterion as written before the batched core, exact-zero cap included."""
+    nonzero = int(np.count_nonzero(sv > 0.0))
+    max_rank = min(max_rank, max(nonzero, min_rank))
+    padded = np.zeros(total + 1)
+    padded[: sv.size] = sv
+    energy = np.cumsum(padded[:total] ** 2)
+    candidates = np.arange(min_rank, max_rank + 1)
+    values = padded[candidates] ** 2 / energy[candidates - 1] + kappa * candidates
+    return int(candidates[int(np.argmin(values))]), values
+
+
+def reference_keep_mask(sv, kappa):
+    """The per-row criterion as written before the batched core."""
+    n, k = sv.shape
+    energy = np.cumsum(sv**2, axis=1)
+    trailing = np.concatenate([sv[:, 1:] ** 2, np.zeros((n, 1))], axis=1)
+    safe_energy = np.where(energy > 0.0, energy, 1.0)
+    crit = trailing / safe_energy + np.atleast_1d(kappa)[:, None] * np.arange(1, k + 1)
+    ranks = np.argmin(crit, axis=1) + 1
+    return np.arange(k) < ranks[:, None]
+
+
+def random_spectrum(rng, size):
+    """Descending spectrum with gaps, near-zero tails and exact zeros."""
+    sv = np.sort(10.0 ** rng.uniform(-14, 1, size))[::-1]
+    zeros = int(rng.integers(0, size))
+    if zeros:
+        sv[size - zeros :] = 0.0
+    return sv
+
+
+class TestRankCriterionOracle:
+    """The one criterion core reproduces both earlier criterion copies exactly."""
+
+    def test_scalar_matches_reference_on_every_window(self):
+        rng = np.random.default_rng(20)
+        for _ in range(300):
+            size = int(rng.integers(1, 9))
+            total = size + int(rng.integers(0, 4))
+            sv = random_spectrum(rng, size)
+            if not sv.any():
+                continue
+            kappa = float(10.0 ** rng.uniform(-9, -2))
+            padded = np.zeros((1, total))
+            padded[0, :size] = sv
+            _, values = _rank_criterion(padded, kappa, total)
+            for lo in range(1, total + 1):
+                for hi in range(lo, total + 1):
+                    rank, ref_values = reference_criterion_rank(sv, kappa, total, lo, hi)
+                    window = values[0, lo - 1 : hi]
+                    assert lo + int(np.argmin(window)) == rank
+                    assert np.array_equal(window[: ref_values.size], ref_values)
+            for allow_full_rank in (False, True):
+                hi = total if allow_full_rank else total - 1
+                if hi < 1:
+                    continue
+                decision = select_rank(sv, kappa, total=total, allow_full_rank=allow_full_rank)
+                assert decision.effective_rank == reference_criterion_rank(sv, kappa, total, 1, hi)[0]
+
+    def test_batched_matches_reference_keep_mask(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n, k = int(rng.integers(1, 12)), int(rng.integers(1, 7))
+            sv = np.stack([random_spectrum(rng, k) for _ in range(n)])
+            sv[rng.random(n) < 0.1] = 0.0  # gradientless points
+            kappa = 10.0 ** rng.uniform(-9, 1, n)
+            ranks, _ = _rank_criterion(sv, kappa, k)
+            keep = np.arange(k) < ranks[:, None]
+            assert np.array_equal(keep, reference_keep_mask(sv, kappa))
 
 
 class TestVanishingBasis:

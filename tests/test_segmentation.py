@@ -196,6 +196,25 @@ class TestPeel:
         with pytest.raises(FitError):
             peel(P, model, em)
 
+    def test_one_svd_per_peel(self, monkeypatch):
+        X, models, _ = generate(ArrangementSpec(3, (2, 2, 2), 150, 0.01, seed=5))
+        em = embed(X, 3)
+        P = vanishing_basis(em)
+        calls = []
+        svd = np.linalg.svd
+
+        def spy(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        lower = peel(P, models[0], em)
+        assert len(lower) == 1
+        # one factorization of the stacked M_2 x N matrix; the only other SVD
+        # is the (1, 6) independence check of the new basis
+        assert calls.count((monomial_count(2, 3), X.shape[0])) == 1
+        assert len(calls) == 2
+
     def test_peel_consistency_on_remaining_points(self):
         X, models, labels = generate(ArrangementSpec(3, (2, 2, 2), 150, 0.0, seed=5))
         em = embed(X, 3)
@@ -272,6 +291,14 @@ class TestSegment:
         seg = segment(X, 2)
         assert [s.degree for s in seg.stages] == [2, 1]
         assert seg.stages[0].nullity == 2
+
+    def test_top_basis_is_the_fitted_vanishing_basis(self):
+        X, _, _ = generate(ArrangementSpec(3, (2, 2, 1), 100, 0.01, seed=13))
+        seg = segment(X, 3)
+        fitted = vanishing_basis(embed(X, 3))
+        assert np.array_equal(
+            seg.vanishing_basis.coefficient_matrix(), fitted.coefficient_matrix()
+        )
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):
