@@ -4,7 +4,6 @@ from .baselines import IterativeConfig, em_mixture_pca, k_subspaces
 from .discovery import (
     DiscoveryReport,
     DiscoveryResult,
-    Projection,
     count_hyperplanes,
     discover_equal_dim,
     project,
@@ -28,7 +27,6 @@ from .fitting import (
 )
 from .polynomial import (
     HomogeneousPolynomial,
-    LiftMatrix,
     PolynomialBasis,
     basis_gradients,
     divide_by_linear,
@@ -52,8 +50,6 @@ from .segmentation import (
 from .experiment import ExperimentConfig, run_experiment
 from .metrics import matched_accuracy
 from .motion import (
-    Correspondence,
-    TrajectoryMatrix,
     epipolar_lines,
     project_trajectories,
     synthetic_translations,
@@ -61,8 +57,6 @@ from .motion import (
 )
 from .synthgen import ArrangementSpec, angle_error, generate, generate_from_bases
 from .veronese import (
-    DerivativeOperator,
-    MonomialIndex,
     derivative_operator,
     monomial_basis,
     monomial_count,

@@ -3,6 +3,10 @@
 Every command is a pure function of its inputs, flags, and seed; repeated
 runs produce byte-identical outputs except for wall-time columns. Exit
 codes: 0 success, 2 input error, 3 fit failure, 4 discovery failure.
+Input is checked before any fitting: data values must be finite, points
+need at least 2 coordinates, counts are at least 1, kappa and focal are
+positive, delta is not negative, outlier levels lie inside (0, 1), and
+motion needs a moving correspondence or at least 5 tracks.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .discovery import discover_equal_dim, recursive_segment
+from .discovery import count_hyperplanes, discover_equal_dim, recursive_segment
 from .errors import DiscoveryError, FitError, GpcaError, InputError
 from .experiment import ExperimentConfig, run_experiment, rows_to_csv
 from .fitting import DEFAULT_KAPPA, embed, fit_vanishing
@@ -51,11 +55,19 @@ def _write_text(text, path):
         Path(path).write_text(text)
 
 
+def _finite(array, path):
+    if not np.isfinite(array).all():
+        raise InputError(f"{path}: NaN or infinite values")
+    return array
+
+
 def _load_points(path):
     X, sidecar = load_dataset(path)
     if X.size == 0:
         raise InputError(f"{path}: no data rows")
-    return X, sidecar
+    if X.shape[1] < 2:
+        raise InputError(f"{path}: points need at least 2 coordinates to lie on subspaces")
+    return _finite(X, path), sidecar
 
 
 def _model_payload(model):
@@ -130,9 +142,32 @@ def _parse_outliers(flag):
             f"bad --outliers value {flag!r}; expected percentile:Q or chi2:LEVEL"
         )
     try:
-        return mode, float(level)
+        level = float(level)
     except ValueError as exc:
         raise InputError(f"bad outlier level in {flag!r}: {exc}") from exc
+    if not 0.0 < level < 1.0:
+        raise InputError(f"outlier level in {flag!r} must lie strictly between 0 and 1")
+    return mode, level
+
+
+def _check_args(args):
+    """Reject flag values no command can use, before any input is read."""
+    flags = vars(args)
+    if isinstance(flags.get("n"), str) and args.n != "auto":
+        try:
+            args.n = int(args.n)
+        except ValueError:
+            raise InputError(f"--n must be an integer or 'auto', got {args.n!r}") from None
+    for name in ("n", "n_max"):
+        if isinstance(flags.get(name), int) and flags[name] < 1:
+            raise InputError(f"--{name.replace('_', '-')} must be at least 1, got {flags[name]}")
+    for name in ("kappa", "focal"):
+        if flags.get(name) is not None and not (np.isfinite(flags[name]) and flags[name] > 0.0):
+            raise InputError(f"--{name} must be a positive number, got {flags[name]}")
+    if "delta" in flags and not (np.isfinite(args.delta) and args.delta >= 0.0):
+        raise InputError(f"--delta must be a non-negative number, got {args.delta}")
+    if flags.get("outliers"):
+        args.outliers = _parse_outliers(args.outliers)
 
 
 def cmd_segment(args) -> int:
@@ -140,8 +175,7 @@ def cmd_segment(args) -> int:
     outliers = np.zeros(X.shape[0], dtype=bool)
     if args.outliers:
         basis, _ = fit_vanishing(embed(X, args.n), args.kappa)
-        mode, level = _parse_outliers(args.outliers)
-        outliers = ~reject_outliers(X, basis, mode, level)
+        outliers = ~reject_outliers(X, basis, *args.outliers)
         seg = segment(X[~outliers], args.n, args.kappa, args.delta)
     else:
         seg = segment(X, args.n, args.kappa, args.delta)
@@ -205,41 +239,30 @@ def cmd_experiment(args) -> int:
 
 def cmd_motion(args) -> int:
     if args.mode == "epipolar":
-        corr = read_correspondences(args.input)
-        rays = corr / float(args.focal) if args.focal else corr
-        data = epipolar_lines(rays)
-        if args.n == "auto":
-            from .discovery import count_hyperplanes
-
-            n = count_hyperplanes(data.lines, args.n_max, args.kappa)
-        else:
-            n = int(args.n)
-        seg = segment(data.lines, n, args.kappa, args.delta)
+        corr = _finite(read_correspondences(args.input), args.input)
+        data = epipolar_lines(corr / args.focal if args.focal is not None else corr)
+        if not data.kept.any():
+            raise InputError(f"{args.input}: every correspondence is stationary")
+        points = data.lines
+    else:
+        reader = convert_w_matrix if args.format == "w-matrix" else read_tracks
+        tracks = _finite(reader(args.input), args.input)
+        if len(tracks) < 5:
+            raise InputError(f"{args.input}: {len(tracks)} tracks; at least 5 are needed")
+        points = project_trajectories(trajectory_matrix(tracks))
+    n = count_hyperplanes(points, args.n_max, args.kappa) if args.n == "auto" else args.n
+    seg = segment(points, n, args.kappa, args.delta)
+    payload = _segment_payload(f"motion-{args.mode}", seg, n, args.kappa, args.delta)
+    if args.mode == "epipolar":
         labels = np.full(corr.shape[0], -1, dtype=int)
         labels[data.kept] = seg.labels
-        payload = _segment_payload("motion-epipolar", seg, n, args.kappa, args.delta)
         payload["labels"] = [int(v) for v in labels]
-        payload["residuals"] = [float(v) for v in seg.residuals]
         payload["excluded"] = [int(i) for i in data.excluded_indices]
         payload["epipoles"] = [
             [float(v) for v in m.complement_basis[:, 0]] for m in seg.models
         ]
-        _write_json(payload, args.out)
-        return EXIT_OK
-    if args.mode == "affine":
-        tracks = (
-            convert_w_matrix(args.input)
-            if args.format == "w-matrix"
-            else read_tracks(args.input)
-        )
-        W = trajectory_matrix(tracks)
-        points = project_trajectories(W)
-        n = 2 if args.n == "auto" else int(args.n)
-        seg = segment(points, n, args.kappa, args.delta)
-        payload = _segment_payload("motion-affine", seg, n, args.kappa, args.delta)
-        _write_json(payload, args.out)
-        return EXIT_OK
-    raise InputError(f"unknown motion mode {args.mode!r}")
+    _write_json(payload, args.out)
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,6 +327,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_args(args)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

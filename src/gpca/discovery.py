@@ -10,7 +10,7 @@ inside each recovered subspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .segmentation import (
 from .veronese import monomial_count
 
 __all__ = [
-    "Projection",
     "RankProbe",
     "DiscoveryNode",
     "DiscoveryReport",
@@ -50,27 +49,6 @@ DEFAULT_VANISH_TOL = 1e-6
 # Fraction of points allowed beyond the membership tolerance before a split
 # is rejected as the product of a degenerate projection.
 _MAX_STRAY_FRACTION = 0.02
-
-
-@dataclass(frozen=True, eq=False)
-class Projection:
-    """Row-orthonormal map from the ambient space to a lower dimension."""
-
-    matrix: np.ndarray = field(repr=False)
-    kind: str = "pca"
-    seed: int | None = None
-
-    def __post_init__(self):
-        mat = np.atleast_2d(np.asarray(self.matrix, dtype=float))
-        gram = mat @ mat.T
-        if not np.allclose(gram, np.eye(mat.shape[0]), atol=1e-10):
-            raise ValueError("projection rows are not orthonormal")
-        mat = mat.copy()
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-
-    def __call__(self, X):
-        return np.atleast_2d(np.asarray(X, dtype=float)) @ self.matrix.T
 
 
 @dataclass(frozen=True)
@@ -165,13 +143,14 @@ def project(
     seed: int | None = None,
     trials: int = 1,
     fit_degree: int | None = None,
-) -> tuple[Projection, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Project points to new_dim dimensions, preserving generic arrangements.
 
-    "pca" keeps the top principal directions of the data matrix; "random"
-    draws a row-orthonormalized Gaussian map. With trials > 1 (random kind),
-    several seeds are drawn and the one whose projected data admits the
-    tightest vanishing fit at `fit_degree` wins.
+    Returns the read-only (new_dim, D) row-orthonormal map and the (N,
+    new_dim) projected points. "pca" keeps the top principal directions of
+    the data matrix; "random" draws a row-orthonormalized Gaussian map.
+    With trials > 1 (random kind), several seeds are drawn and the one whose
+    projected data admits the tightest vanishing fit at `fit_degree` wins.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     D = X.shape[1]
@@ -181,8 +160,7 @@ def project(
         raise ValueError("projection needs at least one dimension")
     if kind == "pca":
         left, _, _ = np.linalg.svd(X.T, full_matrices=False)
-        proj = Projection(matrix=left[:, :new_dim].T, kind="pca", seed=None)
-        return proj, proj(X)
+        return _projected(left[:, :new_dim].T, X)
     if kind != "random":
         raise ValueError(f"unknown projection kind {kind!r}")
     if trials > 1 and fit_degree is None:
@@ -192,15 +170,21 @@ def project(
     for child in seeds:
         rng = np.random.default_rng(child)
         mat, _ = np.linalg.qr(rng.standard_normal((D, new_dim)))
-        proj = Projection(matrix=mat.T, kind="random", seed=seed)
-        projected = proj(X)
+        matrix, projected = _projected(mat.T, X)
         if trials <= 1:
-            return proj, projected
+            return matrix, projected
         sv = embed(projected, fit_degree, warn=False).singular_values
         error = float(sv[-1] / sv[0]) if sv[0] > 0 else np.inf
         if best is None or error < best[0]:
-            best = (error, proj, projected)
+            best = (error, matrix, projected)
     return best[1], best[2]
+
+
+def _projected(matrix, X) -> tuple[np.ndarray, np.ndarray]:
+    """A read-only C-ordered copy of the map, and the points it projects."""
+    matrix = matrix.copy()
+    matrix.flags.writeable = False
+    return matrix, X @ matrix.T
 
 
 def _probe(X, degree, level, dim, kappa, node: str, vanish_tol: float) -> RankProbe:

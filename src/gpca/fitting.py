@@ -15,7 +15,7 @@ import numpy as np
 
 from ._linalg import orthonormal_completion, unit_rows
 from .errors import DegenerateDataError
-from .polynomial import HomogeneousPolynomial, PolynomialBasis
+from .polynomial import PolynomialBasis
 from .veronese import monomial_count, veronese_lift
 
 __all__ = [
@@ -186,9 +186,7 @@ def null_space_polynomials(
     needed = nullity - len(rows)
     if needed > 0:
         rows.extend(left_vectors[:, k - needed :].T[::-1])
-    coeffs = np.vstack(rows)
-    polys = tuple(HomogeneousPolynomial(degree, dim, c) for c in coeffs)
-    return PolynomialBasis(polys)
+    return PolynomialBasis(degree, dim, np.vstack(rows))
 
 
 def _null_space_fit(

@@ -19,10 +19,7 @@ from ._linalg import unit_rows
 from .errors import FitError, InputError
 
 __all__ = [
-    "Correspondence",
     "EpipolarData",
-    "TrajectoryMatrix",
-    "correspondences_from_array",
     "epipolar_lines",
     "trajectory_matrix",
     "project_trajectories",
@@ -38,23 +35,6 @@ _ZERO_MOTION_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class Correspondence:
-    """A point imaged in two frames, in homogeneous coordinates."""
-
-    x1: np.ndarray = field(repr=False)
-    x2: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        for name in ("x1", "x2"):
-            v = np.asarray(getattr(self, name), dtype=float).ravel()
-            if v.shape != (3,):
-                raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-            if v[2] != 0.0 and v[2] != 1.0:
-                v = v / v[2]
-            object.__setattr__(self, name, v)
-
-
-@dataclass(frozen=True, eq=False)
 class EpipolarData:
     """Unit epipolar lines plus the mask of correspondences that produced them."""
 
@@ -66,48 +46,22 @@ class EpipolarData:
         return np.flatnonzero(~self.kept)
 
 
-@dataclass(frozen=True, eq=False)
-class TrajectoryMatrix:
-    """Stacked image coordinates, two rows per frame, one column per track."""
-
-    matrix: np.ndarray = field(repr=False)
-
-    @property
-    def frames(self) -> int:
-        return self.matrix.shape[0] // 2
-
-    @property
-    def n_points(self) -> int:
-        return self.matrix.shape[1]
-
-    def singular_values(self) -> np.ndarray:
-        return np.linalg.svd(self.matrix, compute_uv=False)
-
-
-def correspondences_from_array(array) -> list[Correspondence]:
-    """Rows of (x1, y1, x2, y2) pixel coordinates to homogeneous pairs."""
-    array = np.atleast_2d(np.asarray(array, dtype=float))
-    if array.shape[1] != 4:
-        raise ValueError(f"expected 4 columns (x1, y1, x2, y2), got {array.shape[1]}")
-    return [
-        Correspondence(x1=np.array([r[0], r[1], 1.0]), x2=np.array([r[2], r[3], 1.0]))
-        for r in array
-    ]
-
-
 def epipolar_lines(correspondences) -> EpipolarData:
     """Cross products of matched rays, unit-normalized for segmentation.
 
-    Stationary correspondences (parallel rays, vanishing cross product) are
-    flagged and excluded; their indices are reported in the result.
+    `correspondences` holds (x1, y1, x2, y2) rows; each row is the pair of
+    rays (x1, y1, 1) and (x2, y2, 1). Stationary correspondences (parallel
+    rays, vanishing cross product) are flagged and excluded; their indices
+    are reported in the result.
     """
-    if isinstance(correspondences, np.ndarray):
-        correspondences = correspondences_from_array(correspondences)
-    correspondences = list(correspondences)
-    if not correspondences:
+    rows = np.atleast_2d(np.asarray(correspondences, dtype=float))
+    if rows.shape[1] != 4:
+        raise ValueError(f"expected 4 columns (x1, y1, x2, y2), got {rows.shape[1]}")
+    if rows.shape[0] == 0:
         raise ValueError("no correspondences given")
-    x1 = np.vstack([c.x1 for c in correspondences])
-    x2 = np.vstack([c.x2 for c in correspondences])
+    ones = np.ones((rows.shape[0], 1))
+    x1 = np.hstack([rows[:, :2], ones])
+    x2 = np.hstack([rows[:, 2:], ones])
     lines = np.cross(x2, x1)
     norms = np.linalg.norm(lines, axis=1)
     scale = np.linalg.norm(x1, axis=1) * np.linalg.norm(x2, axis=1)
@@ -115,8 +69,11 @@ def epipolar_lines(correspondences) -> EpipolarData:
     return EpipolarData(lines=unit_rows(lines[kept]), kept=kept)
 
 
-def trajectory_matrix(tracks) -> TrajectoryMatrix:
-    """Assemble the 2F x N matrix from N complete tracks of F image points."""
+def trajectory_matrix(tracks) -> np.ndarray:
+    """Assemble the 2F x N matrix from N complete tracks of F image points.
+
+    Rows 2f and 2f+1 hold frame f's x and y coordinates; column j is track j.
+    """
     tracks = list(tracks)
     if not tracks:
         raise ValueError("no tracks given")
@@ -132,7 +89,7 @@ def trajectory_matrix(tracks) -> TrajectoryMatrix:
     for j, t in enumerate(arrays):
         W[0::2, j] = t[:, 0]
         W[1::2, j] = t[:, 1]
-    return TrajectoryMatrix(matrix=W)
+    return W
 
 
 def project_trajectories(W, dim: int = 5) -> np.ndarray:
@@ -143,7 +100,7 @@ def project_trajectories(W, dim: int = 5) -> np.ndarray:
     column j onto the leading left singular basis). A single rigid motion
     occupies at most four of the five default dimensions.
     """
-    matrix = W.matrix if isinstance(W, TrajectoryMatrix) else np.asarray(W, dtype=float)
+    matrix = np.asarray(W, dtype=float)
     if matrix.shape[1] < dim:
         raise ValueError(f"need at least {dim} tracks, got {matrix.shape[1]}")
     _, sv, rows = np.linalg.svd(matrix, full_matrices=False)

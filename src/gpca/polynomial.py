@@ -17,7 +17,6 @@ from .veronese import derivative_operator, monomial_count, raise_table, veronese
 __all__ = [
     "HomogeneousPolynomial",
     "PolynomialBasis",
-    "LiftMatrix",
     "evaluate",
     "gradient",
     "basis_gradients",
@@ -66,60 +65,40 @@ class HomogeneousPolynomial:
 
 @dataclass(frozen=True, eq=False)
 class PolynomialBasis:
-    """An ordered set of linearly independent polynomials of one degree."""
+    """Linearly independent degree-n polynomials in dim variables.
 
-    polynomials: tuple[HomogeneousPolynomial, ...]
+    `coefficients` is the read-only (m, M) stack, one polynomial per row,
+    over monomial_basis(degree, dim). Iterating yields the rows as
+    HomogeneousPolynomial.
+    """
+
+    degree: int
+    dim: int
+    coefficients: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        polys = tuple(self.polynomials)
-        if not polys:
-            raise ValueError("a polynomial basis cannot be empty")
-        degree = polys[0].degree
-        dim = polys[0].dim
-        if any(p.degree != degree or p.dim != dim for p in polys):
-            raise ValueError("all polynomials must share degree and dim")
-        stack = np.vstack([p.coefficients for p in polys])
+        stack = np.array(self.coefficients, dtype=float)
+        count = monomial_count(self.degree, self.dim)
+        if stack.ndim != 2 or stack.shape[0] == 0 or stack.shape[1] != count:
+            raise ValueError(
+                f"degree {self.degree} in dim {self.dim} needs a nonempty (m, {count}) "
+                f"coefficient stack, got shape {stack.shape}"
+            )
         sv = np.linalg.svd(stack, compute_uv=False)
-        if len(polys) > stack.shape[1] or sv[-1] <= _INDEPENDENCE_RTOL * sv[0]:
+        if stack.shape[0] > count or sv[-1] <= _INDEPENDENCE_RTOL * sv[0]:
             raise ValueError("coefficient vectors are not linearly independent")
-        object.__setattr__(self, "polynomials", polys)
-
-    @property
-    def degree(self) -> int:
-        return self.polynomials[0].degree
-
-    @property
-    def dim(self) -> int:
-        return self.polynomials[0].dim
+        stack.flags.writeable = False
+        object.__setattr__(self, "coefficients", stack)
 
     def __len__(self) -> int:
-        return len(self.polynomials)
+        return self.coefficients.shape[0]
 
     def __iter__(self):
-        return iter(self.polynomials)
-
-    def coefficient_matrix(self) -> np.ndarray:
-        """Stack of coefficient vectors, one polynomial per row (m x M)."""
-        return np.vstack([p.coefficients for p in self.polynomials])
+        return (HomogeneousPolynomial(self.degree, self.dim, c) for c in self.coefficients)
 
     def evaluate(self, x) -> np.ndarray:
         """Values of all basis polynomials: (m,) for one point, (N, m) batched."""
-        lifted = veronese_lift(x, self.degree)
-        return lifted @ self.coefficient_matrix().T
-
-
-@dataclass(frozen=True, eq=False)
-class LiftMatrix:
-    """Matrix form of multiplication by the linear form b^T x.
-
-    For any degree-(n-1) coefficient vector c and any x:
-    (c @ veronese_lift(x, n-1)) * (b @ x) == (c @ matrix) @ veronese_lift(x, n).
-    Shape is M_{n-1} x M_n.
-    """
-
-    b: np.ndarray = field(repr=False)
-    degree: int
-    matrix: np.ndarray = field(repr=False)
+        return veronese_lift(x, self.degree) @ self.coefficients.T
 
 
 def evaluate(p: HomogeneousPolynomial, x):
@@ -150,7 +129,7 @@ def basis_gradients(P: PolynomialBasis, x):
 
 def _lifted_gradients(P: PolynomialBasis, lifted: np.ndarray) -> np.ndarray:
     """basis_gradients from the degree-(n-1) lift of the points."""
-    rows = _derivative_rows(P.degree, P.dim, P.coefficient_matrix())
+    rows = _derivative_rows(P.degree, P.dim, P.coefficients)
     if lifted.ndim == 1:
         return np.einsum("kmj,j->km", rows, lifted)
     return np.einsum("kmj,nj->nkm", rows, lifted)
@@ -159,15 +138,16 @@ def _lifted_gradients(P: PolynomialBasis, lifted: np.ndarray) -> np.ndarray:
 def _derivative_rows(degree: int, dim: int, coeff_matrix: np.ndarray) -> np.ndarray:
     """(D, m, M_{n-1}) tensor of per-axis differentiated coefficient rows."""
     return np.stack(
-        [coeff_matrix @ derivative_operator(degree, axis, dim).matrix for axis in range(dim)]
+        [coeff_matrix @ derivative_operator(degree, axis, dim) for axis in range(dim)]
     )
 
 
-def lift_matrix(b, degree: int) -> LiftMatrix:
-    """Build the multiplication-by-(b^T x) matrix for degree n output.
+def lift_matrix(b, degree: int) -> np.ndarray:
+    """Read-only (M_{n-1}, M_n) matrix of multiplication by the linear form b^T x.
 
-    Row f of the result holds the degree-n coefficients of
-    (monomial f of degree n-1) * (b^T x).
+    Row f holds the degree-n coefficients of (monomial f of degree n-1) * (b^T x),
+    so for any degree-(n-1) coefficient vector c and any x:
+    (c @ veronese_lift(x, n-1)) * (b @ x) == (c @ matrix) @ veronese_lift(x, n).
     """
     b = np.asarray(b, dtype=float).ravel()
     if degree < 1:
@@ -176,13 +156,13 @@ def lift_matrix(b, degree: int) -> LiftMatrix:
     mat = np.zeros((table.shape[0], monomial_count(degree, b.shape[0])))
     mat[np.arange(table.shape[0])[:, None], table] += b
     mat.flags.writeable = False
-    return LiftMatrix(b=b.copy(), degree=degree, matrix=mat)
+    return mat
 
 
 def multiply_by_linear(p: HomogeneousPolynomial, b) -> HomogeneousPolynomial:
     """The product p(x) * (b^T x), one degree higher."""
     lift = lift_matrix(b, p.degree + 1)
-    return HomogeneousPolynomial(p.degree + 1, p.dim, p.coefficients @ lift.matrix)
+    return HomogeneousPolynomial(p.degree + 1, p.dim, p.coefficients @ lift)
 
 
 def product_of_linear_forms(normals) -> HomogeneousPolynomial:
@@ -212,10 +192,10 @@ def divide_by_linear(p: HomogeneousPolynomial, b) -> tuple[HomogeneousPolynomial
     lift = lift_matrix(b, p.degree)
     # Solve c_low @ R = c in least squares; R always has full row rank for b != 0
     # because multiplication by a nonzero form is injective.
-    c_low, _, rank, _ = np.linalg.lstsq(lift.matrix.T, p.coefficients, rcond=None)
-    if rank < lift.matrix.shape[0]:
+    c_low, _, rank, _ = np.linalg.lstsq(lift.T, p.coefficients, rcond=None)
+    if rank < lift.shape[0]:
         raise ArithmeticError("division matrix unexpectedly rank deficient")
-    residual = float(np.linalg.norm(c_low @ lift.matrix - p.coefficients))
+    residual = float(np.linalg.norm(c_low @ lift - p.coefficients))
     return HomogeneousPolynomial(p.degree - 1, p.dim, c_low), residual
 
 

@@ -252,7 +252,7 @@ def model_at_point(P: PolynomialBasis, y, kappa: float = DEFAULT_KAPPA) -> Subsp
 def _peel_matrix(matrix: np.ndarray, degree: int, model: SubspaceModel) -> np.ndarray:
     """Stack the lift-multiplied copies of a fitting matrix for every normal."""
     blocks = [
-        lift_matrix(b, degree).matrix @ matrix for b in model.complement_basis.T
+        lift_matrix(b, degree) @ matrix for b in model.complement_basis.T
     ]
     return np.hstack(blocks)
 
@@ -325,7 +325,7 @@ def segment(
             if degree == n:
                 top_basis = basis
             lower = veronese_lift(points, degree - 1)
-            values = upper @ basis.coefficient_matrix().T
+            values = upper @ basis.coefficients.T
             grads = _lifted_gradients(basis, lower)
             idx = _pick_point(points, degree, values, grads, tuple(models), delta)
             model = model_at_point(basis, points[idx], kappa)

@@ -18,15 +18,12 @@ builds the differentiation and the multiplication-by-a-linear-form matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
 
 __all__ = [
-    "MonomialIndex",
-    "DerivativeOperator",
     "monomial_count",
     "monomial_basis",
     "monomial_position",
@@ -34,32 +31,6 @@ __all__ = [
     "raise_table",
     "derivative_operator",
 ]
-
-
-@dataclass(frozen=True)
-class MonomialIndex:
-    """One monomial: per-variable exponents plus its position in the basis."""
-
-    exponents: tuple[int, ...]
-    position: int
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-
-@dataclass(frozen=True, eq=False)
-class DerivativeOperator:
-    """Constant matrix mapping a degree-n lift to the lift of its x_axis partial.
-
-    For every x: d(veronese_lift(x, degree))/dx_axis == matrix @ veronese_lift(x, degree - 1).
-    Each row has at most one nonzero entry, the exponent of x_axis in that
-    row's monomial. `axis` is 0-based.
-    """
-
-    degree: int
-    axis: int
-    matrix: np.ndarray = field(repr=False)
 
 
 def monomial_count(degree: int, dim: int) -> int:
@@ -76,22 +47,24 @@ def monomial_count(degree: int, dim: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def monomial_basis(degree: int, dim: int) -> tuple[MonomialIndex, ...]:
-    """All degree-n monomials in D variables, in the canonical order."""
-    count = monomial_count(degree, dim)
-    out = []
+def monomial_basis(degree: int, dim: int) -> np.ndarray:
+    """Exponents of all degree-n monomials in D variables, in the canonical order.
+
+    Row p of the read-only (M, D) integer array holds the per-variable
+    exponents of the monomial at position p.
+    """
+    exps = np.zeros((monomial_count(degree, dim), dim), dtype=np.int64)
     for position, combo in enumerate(combinations_with_replacement(range(dim), degree)):
-        exponents = [0] * dim
         for var in combo:
-            exponents[var] += 1
-        out.append(MonomialIndex(tuple(exponents), position))
-    assert len(out) == count
-    return tuple(out)
+            exps[position, var] += 1
+    exps.flags.writeable = False
+    return exps
 
 
 @lru_cache(maxsize=None)
 def _position_table(degree: int, dim: int) -> dict[tuple[int, ...], int]:
-    return {m.exponents: m.position for m in monomial_basis(degree, dim)}
+    rows = monomial_basis(degree, dim).tolist()
+    return {tuple(exponents): position for position, exponents in enumerate(rows)}
 
 
 def monomial_position(exponents, dim: int | None = None) -> int:
@@ -104,14 +77,6 @@ def monomial_position(exponents, dim: int | None = None) -> int:
     return _position_table(sum(exponents), dim)[exponents]
 
 
-@lru_cache(maxsize=None)
-def _exponent_matrix(degree: int, dim: int) -> np.ndarray:
-    mat = np.array([m.exponents for m in monomial_basis(degree, dim)], dtype=np.int64)
-    mat = mat.reshape(monomial_count(degree, dim), dim)
-    mat.flags.writeable = False
-    return mat
-
-
 def veronese_lift(x, degree: int) -> np.ndarray:
     """Evaluate all degree-n monomials at x.
 
@@ -121,7 +86,7 @@ def veronese_lift(x, degree: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
-    exps = _exponent_matrix(degree, pts.shape[1])
+    exps = monomial_basis(degree, pts.shape[1])
     # Power table (D, 1 + len(carried), N) with x ** 0 == 1 in row 0. numpy
     # squares exactly when 2 is a lone broadcast exponent but uses its SIMD pow
     # inside an exponent array, so raising to the exponents the basis carries
@@ -141,26 +106,29 @@ def veronese_lift(x, degree: int) -> np.ndarray:
 def raise_table(degree: int, dim: int) -> np.ndarray:
     """Entry (f, v) is the degree-n position of monomial f of degree n-1 times x_v."""
     positions = _position_table(degree, dim)
-    raised = _exponent_matrix(degree - 1, dim)[:, None, :] + np.eye(dim, dtype=np.int64)
+    raised = monomial_basis(degree - 1, dim)[:, None, :] + np.eye(dim, dtype=np.int64)
     table = np.array([[positions[tuple(e)] for e in row] for row in raised.tolist()])
     table.flags.writeable = False
     return table
 
 
 @lru_cache(maxsize=None)
-def derivative_operator(degree: int, axis: int, dim: int) -> DerivativeOperator:
-    """Constant matrix realizing d/dx_axis on degree-n coefficient vectors.
+def derivative_operator(degree: int, axis: int, dim: int) -> np.ndarray:
+    """Constant (M_n, M_{n-1}) matrix realizing d/dx_axis on degree-n lifts.
 
-    Cached per (degree, axis, dim) since the same matrices are reused for
-    every gradient evaluation. For degree 1 the lower lift is the scalar 1.
+    For every x: d(veronese_lift(x, degree))/dx_axis == matrix @ veronese_lift(x, degree - 1).
+    Each row has at most one nonzero entry, the exponent of x_axis in that
+    row's monomial; `axis` is 0-based. The read-only matrix is cached per
+    (degree, axis, dim) since it is reused for every gradient evaluation.
+    For degree 1 the lower lift is the scalar 1.
     """
     if not 0 <= axis < dim:
         raise ValueError(f"axis {axis} out of range for dim {dim}")
     if degree < 1:
         raise ValueError("differentiation needs degree >= 1")
     # Monomial f of degree n-1 times x_axis differentiates back to (e_axis + 1) * f.
-    lower = _exponent_matrix(degree - 1, dim)
+    lower = monomial_basis(degree - 1, dim)
     mat = np.zeros((monomial_count(degree, dim), lower.shape[0]))
     mat[raise_table(degree, dim)[:, axis], np.arange(lower.shape[0])] = lower[:, axis] + 1.0
     mat.flags.writeable = False
-    return DerivativeOperator(degree=degree, axis=axis, matrix=mat)
+    return mat

@@ -53,8 +53,8 @@ class TestCriterion1IntroductoryExample:
         seg = segment(X, 2)
         elapsed = time.perf_counter() - start
 
-        fitted_span, _ = np.linalg.qr(basis.coefficient_matrix().T)
-        known_span, _ = np.linalg.qr(intro_quadratic_basis().coefficient_matrix().T)
+        fitted_span, _ = np.linalg.qr(basis.coefficients.T)
+        known_span, _ = np.linalg.qr(intro_quadratic_basis().coefficients.T)
         span_angle = max_principal_angle(fitted_span, known_span)
 
         by_dim = {m.dim: m for m in seg.models}
@@ -310,7 +310,7 @@ class TestPropertySuites:
             c = rng.standard_normal(monomial_count(degree, dim))
             lower = veronese_lift(x, degree - 1)
             total = sum(
-                x[k] * (c @ derivative_operator(degree, k, dim).matrix @ lower)
+                x[k] * (c @ derivative_operator(degree, k, dim) @ lower)
                 for k in range(dim)
             )
             ok &= bool(
@@ -331,7 +331,7 @@ class TestPropertySuites:
                 numeric = (
                     veronese_lift(x + delta, degree) - veronese_lift(x - delta, degree)
                 ) / (2 * step)
-                analytic = derivative_operator(degree, axis, dim).matrix @ lower
+                analytic = derivative_operator(degree, axis, dim) @ lower
                 worst = max(
                     worst,
                     np.linalg.norm(numeric - analytic)

@@ -1,11 +1,17 @@
 """Command-line surface: flows, exit codes, schema, determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
+import warnings
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gpca.cli import main
 from gpca.metrics import matched_accuracy
@@ -356,12 +362,25 @@ class TestMotion:
         jsonschema.validate(report, SCHEMA)
         assert matched_accuracy(labels, report["labels"]) == 1.0
 
+    def test_affine_auto_count(self, tmp_path):
+        from test_motion import affine_scene
+
+        tracks, labels = affine_scene(3, 30, 8, seed=26)
+        track_path = tmp_path / "tracks.txt"
+        write_tracks(track_path, tracks)
+        report_path = tmp_path / "auto.json"
+        argv = ["motion", "--mode", "affine", "--input", str(track_path), "--n", "auto"]
+        assert main(argv + ["--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["n"] == 3
+        assert matched_accuracy(labels, report["labels"]) == 1.0
+
     def test_w_matrix_import(self, tmp_path):
         from test_motion import affine_scene
         from gpca.motion import trajectory_matrix
 
         tracks, labels = affine_scene(2, 20, 6, seed=25)
-        W = trajectory_matrix(tracks).matrix
+        W = trajectory_matrix(tracks)
         w_path = tmp_path / "w.txt"
         np.savetxt(w_path, W)
         report_path = tmp_path / "w.json"
@@ -388,3 +407,109 @@ class TestMotion:
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2,3,4\noops\n")
         assert main(["motion", "--mode", "epipolar", "--input", str(bad), "--n", "2"]) == 2
+
+
+def _write_rows(path, rows):
+    with open(path, "w") as fh:
+        for row in rows:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def _input_files(folder):
+    """Valid and non-finite point, correspondence and track files."""
+    from test_motion import affine_scene
+
+    X = np.random.default_rng(0).standard_normal((40, 3))
+    corr, _, _ = synthetic_translations(2, 20, 0.0, seed=0)
+    tracks, _ = affine_scene(2, 10, 4, seed=1)
+    files = {"good": X, "nan": X.copy(), "inf": X.copy(), "column": X[:, :1]}
+    files.update(corr=corr, nan_corr=corr.copy(), still=np.tile([1.0, 2.0, 1.0, 2.0], (9, 1)))
+    files["nan"][3, 1] = np.nan
+    files["inf"][5, 0] = -np.inf
+    files["nan_corr"][4, 2] = np.nan
+    paths = {}
+    for name, rows in files.items():
+        paths[name] = str(folder / f"{name}.csv")
+        _write_rows(paths[name], rows)
+    paths["few_tracks"] = str(folder / "few_tracks.txt")
+    write_tracks(paths["few_tracks"], tracks[:4])
+    tracks[2, 1, 0] = np.nan
+    paths["nan_tracks"] = str(folder / "nan_tracks.txt")
+    write_tracks(paths["nan_tracks"], tracks)
+    return paths
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["segment", "--data", "{nan}", "--n", "2"],
+            ["segment", "--data", "{inf}", "--n", "2"],
+            ["discover", "--data", "{nan}", "--n-max", "3"],
+            ["discover", "--data", "{inf}", "--n-max", "3", "--equal-dim"],
+            ["motion", "--mode", "affine", "--input", "{nan_tracks}"],
+            ["motion", "--mode", "epipolar", "--input", "{nan_corr}"],
+            ["segment", "--data", "{column}", "--n", "2"],
+            ["segment", "--data", "{good}", "--n", "0"],
+            ["segment", "--data", "{good}", "--n", "-1"],
+            ["discover", "--data", "{good}", "--n-max", "0"],
+            ["segment", "--data", "{good}", "--n", "2", "--kappa", "0"],
+            ["segment", "--data", "{good}", "--n", "2", "--outliers", "chi2:1.5"],
+            ["motion", "--mode", "epipolar", "--input", "{corr}", "--n", "abc"],
+            ["motion", "--mode", "epipolar", "--input", "{corr}", "--focal", "0"],
+            ["segment", "--data", "{good}", "--n", "2", "--delta", "nan"],
+            ["motion", "--mode", "epipolar", "--input", "{still}"],
+            ["motion", "--mode", "affine", "--input", "{few_tracks}"],
+        ],
+    )
+    def test_rejected_with_exit_2(self, argv, tmp_path, capsys):
+        paths = _input_files(tmp_path)
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+@st.composite
+def _cli_calls(draw):
+    """A small point CSV, maybe low-rank, and segment or discover flags, with at most one fault."""
+    rows, cols = draw(st.integers(1, 60)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = draw(st.integers(1, cols))
+    X = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    fault = draw(st.sampled_from([None, None, "nan", "inf", "zero", "count", "kappa", "level"]))
+    if fault in ("nan", "inf", "zero"):
+        hit = draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=3))
+        X[hit] = {"nan": np.nan, "inf": -np.inf, "zero": 0.0}[fault]
+    count = str(draw(st.sampled_from([0, -1]) if fault == "count" else st.integers(1, 4)))
+    if draw(st.booleans()):
+        argv = ["segment", "--n", count]
+        good, bad = [None, "percentile:0.9", "chi2:0.999"], ["chi2:1.5", "percentile:0", "chi2:x"]
+        level = draw(st.sampled_from(bad if fault == "level" else good))
+        argv += [] if level is None else ["--outliers", level]
+    else:
+        argv = ["discover", "--n-max", count] + draw(st.sampled_from([[], ["--equal-dim"]]))
+    kappas = ["0", "-1", "inf", "nan"] if fault == "kappa" else [None, "1e-6", "1e-3", "0.5"]
+    kappa = draw(st.sampled_from(kappas))
+    return X, argv + ([] if kappa is None else ["--kappa", kappa])
+
+
+class TestExitCodeContract:
+    @settings(
+        max_examples=300,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(call=_cli_calls())
+    def test_every_call_exits_0_2_3_or_4(self, call):
+        X, argv = call
+        with tempfile.TemporaryDirectory() as folder:
+            data, out = Path(folder) / "points.csv", Path(folder) / "out"
+            _write_rows(data, X)
+            with contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = main(argv + ["--data", str(data), "--out", str(out)])
+            assert code in (0, 2, 3, 4)
+            if code == 0 and argv[0] == "segment":
+                jsonschema.validate(json.loads(out.read_text()), SCHEMA)
+            elif code == 0:
+                assert out.read_text().startswith(("discovery report", "equal-dimension"))

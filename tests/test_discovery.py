@@ -21,8 +21,8 @@ class TestProject:
     def test_pca_projection_is_row_orthonormal(self):
         X, _, _ = generate(ArrangementSpec(5, (1, 1), 100, 0.0, seed=0))
         proj, Xp = project(X, 2, kind="pca")
-        assert proj.matrix.shape == (2, 5)
-        assert np.allclose(proj.matrix @ proj.matrix.T, np.eye(2), atol=1e-12)
+        assert proj.shape == (2, 5)
+        assert np.allclose(proj @ proj.T, np.eye(2), atol=1e-12)
         assert Xp.shape == (200, 2)
 
     def test_two_lines_project_to_two_lines(self):
@@ -52,9 +52,9 @@ class TestProject:
         X, _, _ = generate(ArrangementSpec(4, (1, 1), 100, 0.0, seed=4))
         p1, X1 = project(X, 2, kind="random", seed=11)
         p2, X2 = project(X, 2, kind="random", seed=11)
-        assert np.array_equal(p1.matrix, p2.matrix)
+        assert np.array_equal(p1, p2)
         p3, _ = project(X, 2, kind="random", seed=11, trials=5, fit_degree=2)
-        assert p3.matrix.shape == (2, 4)
+        assert p3.shape == (2, 4)
 
     def test_upward_projection_rejected(self):
         X = np.zeros((10, 3))

@@ -23,7 +23,7 @@ def coefficient_span_angle(basis_a, basis_b):
     """Largest principal angle between two coefficient-vector spans."""
 
     def orth(basis):
-        mat = basis.coefficient_matrix().T
+        mat = basis.coefficients.T
         q, _ = np.linalg.qr(mat)
         return q
 
@@ -178,7 +178,7 @@ class TestVanishingBasis:
         X = (span @ rng.standard_normal((2, 80))).T
         basis = vanishing_basis(embed(X, 1))
         assert len(basis) == 1
-        coeffs = basis.polynomials[0].coefficients
+        coeffs = basis.coefficients[0]
         assert abs(coeffs[2]) / np.linalg.norm(coeffs) == pytest.approx(1.0, abs=1e-10)
 
     def test_two_random_planes_product_polynomial(self):
@@ -188,7 +188,7 @@ class TestVanishingBasis:
         product = product_of_linear_forms(
             [m.complement_basis[:, 0] for m in models]
         )
-        fitted = basis.polynomials[0].coefficients
+        fitted = basis.coefficients[0]
         target = product.coefficients / np.linalg.norm(product.coefficients)
         cos = abs(fitted @ target) / np.linalg.norm(fitted)
         assert cos == pytest.approx(1.0, abs=1e-9)
@@ -210,8 +210,8 @@ class TestVanishingBasis:
         products = product_basis(
             [orthonormal_completion(m.complement_basis) for m in models]
         )
-        fitted_span, _ = np.linalg.qr(basis.coefficient_matrix().T)
-        prod_span, _ = np.linalg.qr(products.coefficient_matrix().T)
+        fitted_span, _ = np.linalg.qr(basis.coefficients.T)
+        prod_span, _ = np.linalg.qr(products.coefficients.T)
         # containment: projecting the product span onto the fitted span is lossless
         residual = prod_span - fitted_span @ (fitted_span.T @ prod_span)
         assert np.linalg.norm(residual, ord=2) <= 1e-8

@@ -8,9 +8,7 @@ from gpca._linalg import vector_angle
 from gpca.errors import InputError
 from gpca.metrics import matched_accuracy
 from gpca.motion import (
-    Correspondence,
     convert_w_matrix,
-    correspondences_from_array,
     epipolar_lines,
     project_trajectories,
     read_correspondences,
@@ -74,10 +72,6 @@ class TestEpipolarLines:
             agreement = np.abs(data.lines[mask] @ cal[motion])
             assert agreement.max() <= 1e-10
 
-    def test_correspondence_normalization(self):
-        c = Correspondence(x1=np.array([4.0, 2.0, 2.0]), x2=np.array([1.0, 1.0, 1.0]))
-        assert np.allclose(c.x1, [2.0, 1.0, 1.0])
-
     def test_frame_swap_flips_lines_but_not_segmentation(self):
         corr, _, labels = synthetic_translations(2, 46, 0.0, seed=2)
         swapped = corr[:, [2, 3, 0, 1]]
@@ -101,19 +95,16 @@ class TestEpipolarLines:
 class TestTrajectoryMatrix:
     def test_single_motion_rank_at_most_four(self):
         tracks, _ = affine_scene(1, 30, 8, seed=4)
-        W = trajectory_matrix(tracks)
-        sv = W.singular_values()
+        sv = np.linalg.svd(trajectory_matrix(tracks), compute_uv=False)
         assert (sv > 1e-10 * sv[0]).sum() <= 4
 
     def test_single_frame_shape(self):
         tracks = np.random.default_rng(5).standard_normal((7, 1, 2))
-        W = trajectory_matrix(tracks)
-        assert W.matrix.shape == (2, 7)
-        assert W.frames == 1 and W.n_points == 7
+        assert trajectory_matrix(tracks).shape == (2, 7)
 
     def test_two_motions_rank_window(self):
         tracks, _ = affine_scene(2, 30, 8, seed=6)
-        sv = trajectory_matrix(tracks).singular_values()
+        sv = np.linalg.svd(trajectory_matrix(tracks), compute_uv=False)
         numerical_rank = (sv > 1e-10 * sv[0]).sum()
         assert 5 <= numerical_rank <= 8
 
@@ -125,7 +116,7 @@ class TestTrajectoryMatrix:
 
     def test_row_interleaving(self):
         tracks = np.arange(12.0).reshape(2, 3, 2)  # 2 tracks, 3 frames
-        W = trajectory_matrix(tracks).matrix
+        W = trajectory_matrix(tracks)
         assert np.allclose(W[:, 0], [0, 1, 2, 3, 4, 5])
         assert np.allclose(W[0], [0.0, 6.0])  # frame-0 x coordinates
 
@@ -146,7 +137,7 @@ class TestProjectTrajectories:
     def test_rank_invariance_across_generic_projections(self):
         # labels agree between the canonical projection and a random generic one
         tracks, labels = affine_scene(2, 30, 8, seed=9)
-        W = trajectory_matrix(tracks).matrix
+        W = trajectory_matrix(tracks)
         pts = project_trajectories(W)
         rng = np.random.default_rng(10)
         mix, _ = np.linalg.qr(rng.standard_normal((W.shape[0], 5)))
@@ -193,13 +184,13 @@ class TestFileFormats:
 
     def test_w_matrix_converter(self, tmp_path):
         tracks, _ = affine_scene(1, 6, 4, seed=13)
-        W = trajectory_matrix(tracks).matrix
+        W = trajectory_matrix(tracks)
         path = tmp_path / "w.txt"
         np.savetxt(path, W)
         back = convert_w_matrix(path)
         assert back.shape == (6, 4, 2)
         assert np.allclose(back, tracks)
 
-    def test_correspondences_from_array_validates_columns(self):
+    def test_epipolar_lines_validates_columns(self):
         with pytest.raises(ValueError):
-            correspondences_from_array(np.zeros((3, 5)))
+            epipolar_lines(np.zeros((3, 5)))

@@ -26,7 +26,7 @@ def to_sympy(p):
     expr = 0
     for mono, c in zip(monomial_basis(p.degree, p.dim), p.coefficients):
         term = sympy.Integer(1)
-        for s, e in zip(symbols, mono.exponents):
+        for s, e in zip(symbols, mono.tolist()):
             term *= s**e
         expr += c * term
     return expr, symbols
@@ -123,7 +123,7 @@ class TestBasisGradients:
     def test_single_polynomial_reduces_to_gradient(self):
         rng = np.random.default_rng(5)
         p = HomogeneousPolynomial(3, 3, rng.standard_normal(10))
-        P = PolynomialBasis((p,))
+        P = PolynomialBasis(3, 3, p.coefficients[None, :])
         x = rng.standard_normal(3)
         assert np.allclose(basis_gradients(P, x)[:, 0], gradient(p, x))
 
@@ -137,20 +137,33 @@ class TestBasisGradients:
 
     def test_independence_enforced(self):
         p = monomial_polynomial((1, 0, 1), 3)
-        q = HomogeneousPolynomial(2, 3, 2.0 * p.coefficients)
         with pytest.raises(ValueError):
-            PolynomialBasis((p, q))
+            PolynomialBasis(2, 3, np.vstack([p.coefficients, 2.0 * p.coefficients]))
+
+    @pytest.mark.parametrize("shape", [(0, 6), (6,), (2, 5), (7, 6)])
+    def test_stack_shape_enforced(self, shape):
+        with pytest.raises(ValueError):
+            PolynomialBasis(2, 3, np.ones(shape))
+
+    def test_rows_iterate_as_polynomials(self):
+        P = intro_quadratic_basis()
+        rows = list(P)
+        assert len(P) == len(rows) == 2
+        assert all(r.degree == 2 and r.dim == 3 for r in rows)
+        assert np.array_equal(np.vstack([r.coefficients for r in rows]), P.coefficients)
+        with pytest.raises(ValueError):
+            P.coefficients[0, 0] = 1.0
 
 
 def reference_lift_matrix(b, degree):
     """Oracle: the multiplication matrix built through exponent-tuple lookups."""
     dim = b.shape[0]
     mat = np.zeros((monomial_count(degree - 1, dim), monomial_count(degree, dim)))
-    for mono in monomial_basis(degree - 1, dim):
+    for position, exponents in enumerate(monomial_basis(degree - 1, dim).tolist()):
         for var in range(dim):
-            raised = list(mono.exponents)
+            raised = list(exponents)
             raised[var] += 1
-            mat[mono.position, monomial_position(raised, dim)] += b[var]
+            mat[position, monomial_position(raised, dim)] += b[var]
     return mat
 
 
@@ -166,14 +179,14 @@ class TestLiftMatrix:
             np.where(np.arange(dim) % 2 == 0, 0.0, -rng.uniform(1.0, 1e3, dim)),
             np.full(dim, -0.0),
         ):
-            actual = lift_matrix(b, degree).matrix
+            actual = lift_matrix(b, degree)
             expected = reference_lift_matrix(b, degree)
             assert np.array_equal(actual, expected)
             assert np.array_equal(np.signbit(actual), np.signbit(expected))
 
     def test_three_variable_layout(self):
         b = np.array([7.0, 11.0, 13.0])
-        mat = lift_matrix(b, 2).matrix
+        mat = lift_matrix(b, 2)
         b1, b2, b3 = b
         expected = np.array(
             [
@@ -185,7 +198,7 @@ class TestLiftMatrix:
         assert np.array_equal(mat, expected)
 
     def test_multiplication_by_first_variable_two_vars(self):
-        mat = lift_matrix(np.array([1.0, 0.0]), 2).matrix
+        mat = lift_matrix(np.array([1.0, 0.0]), 2)
         assert np.array_equal(mat, np.array([[1.0, 0, 0], [0, 1.0, 0]]))
 
     def test_defining_identity_random(self):
@@ -196,12 +209,12 @@ class TestLiftMatrix:
             x = rng.standard_normal(dim)
             lift = lift_matrix(b, degree)
             lhs = (c @ veronese_lift(x, degree - 1)) * (b @ x)
-            rhs = (c @ lift.matrix) @ veronese_lift(x, degree)
+            rhs = (c @ lift) @ veronese_lift(x, degree)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_degree_one_is_row_vector(self):
         b = np.array([2.0, -3.0, 5.0])
-        assert np.array_equal(lift_matrix(b, 1).matrix, b[None, :])
+        assert np.array_equal(lift_matrix(b, 1), b[None, :])
 
 
 class TestDivision:

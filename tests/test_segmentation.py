@@ -171,7 +171,7 @@ class TestPeel:
         P = vanishing_basis(em)
         lower = peel(P, PLANE_MODEL, em)
         assert lower.degree == 1
-        coeffs = lower.coefficient_matrix()
+        coeffs = lower.coefficients
         # spans {x1, x2}: no x3 content
         assert np.abs(coeffs[:, 2]).max() <= 1e-9
 
@@ -181,7 +181,7 @@ class TestPeel:
         P = vanishing_basis(em)
         lower = peel(P, models[0], em)
         assert len(lower) == 1
-        normal = lower.polynomials[0].coefficients
+        normal = lower.coefficients[0]
         assert vector_angle(normal, models[1].complement_basis[:, 0]) < 1e-8
 
     def test_empty_null_space_rejected(self):
@@ -296,9 +296,7 @@ class TestSegment:
         X, _, _ = generate(ArrangementSpec(3, (2, 2, 1), 100, 0.01, seed=13))
         seg = segment(X, 3)
         fitted = vanishing_basis(embed(X, 3))
-        assert np.array_equal(
-            seg.vanishing_basis.coefficient_matrix(), fitted.coefficient_matrix()
-        )
+        assert np.array_equal(seg.vanishing_basis.coefficients, fitted.coefficients)
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):
@@ -313,7 +311,7 @@ class TestSegment:
         X, _, _ = generate(ArrangementSpec(3, (2, 2), 150, 0.02, seed=10))
         em = embed(X, 2)
         basis = vanishing_basis(em)
-        c = basis.polynomials[0].coefficients
+        c = basis.coefficients[0]
         best = np.linalg.norm(c @ em.matrix)
         assert best == pytest.approx(em.singular_values[-1], rel=1e-9)
         rng = np.random.default_rng(11)

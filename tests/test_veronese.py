@@ -34,8 +34,7 @@ def reference_lift(x, degree):
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
-    exps = np.array([m.exponents for m in monomial_basis(degree, pts.shape[1])], dtype=np.int64)
-    exps = exps.reshape(-1, pts.shape[1])
+    exps = monomial_basis(degree, pts.shape[1])
     out = np.ones((pts.shape[0], exps.shape[0]))
     for var in range(pts.shape[1]):
         col = exps[:, var]
@@ -47,15 +46,17 @@ def reference_lift(x, degree):
 
 def reference_derivative_matrix(degree, axis, dim):
     """Oracle: the differentiation matrix built through exponent-tuple lookups."""
-    lower_positions = {m.exponents: m.position for m in monomial_basis(degree - 1, dim)}
+    lower_positions = {
+        tuple(e): position for position, e in enumerate(monomial_basis(degree - 1, dim).tolist())
+    }
     mat = np.zeros((monomial_count(degree, dim), monomial_count(degree - 1, dim)))
-    for mono in monomial_basis(degree, dim):
-        e = mono.exponents[axis]
+    for position, exponents in enumerate(monomial_basis(degree, dim).tolist()):
+        e = exponents[axis]
         if e == 0:
             continue
-        lowered = list(mono.exponents)
+        lowered = list(exponents)
         lowered[axis] -= 1
-        mat[mono.position, lower_positions[tuple(lowered)]] = float(e)
+        mat[position, lower_positions[tuple(lowered)]] = float(e)
     return mat
 
 
@@ -98,26 +99,31 @@ class TestMonomialCount:
 
 class TestMonomialBasis:
     def test_canonical_order_degree_two(self):
-        exps = [m.exponents for m in monomial_basis(2, 3)]
-        assert exps == [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+        exps = monomial_basis(2, 3).tolist()
+        assert exps == [[2, 0, 0], [1, 1, 0], [1, 0, 1], [0, 2, 0], [0, 1, 1], [0, 0, 2]]
 
     def test_degree_one(self):
-        exps = [m.exponents for m in monomial_basis(1, 3)]
-        assert exps == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        exps = monomial_basis(1, 3).tolist()
+        assert exps == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
     def test_degree_three_two_vars(self):
-        exps = [m.exponents for m in monomial_basis(3, 2)]
-        assert exps == [(3, 0), (2, 1), (1, 2), (0, 3)]
+        exps = monomial_basis(3, 2).tolist()
+        assert exps == [[3, 0], [2, 1], [1, 2], [0, 3]]
 
     @settings(deadline=None, max_examples=40)
     @given(degree=st.integers(1, 6), dim=st.integers(1, 5))
     def test_bijection_with_enumeration(self, degree, dim):
         basis = monomial_basis(degree, dim)
-        assert len(basis) == monomial_count(degree, dim)
-        assert [m.position for m in basis] == list(range(len(basis)))
-        assert [m.exponents for m in basis] == brute_force_exponents(degree, dim)
-        for m in basis:
-            assert monomial_position(m.exponents, dim) == m.position
+        assert basis.shape == (monomial_count(degree, dim), dim)
+        assert [tuple(e) for e in basis.tolist()] == brute_force_exponents(degree, dim)
+        for position, exponents in enumerate(basis):
+            assert monomial_position(exponents, dim) == position
+
+    def test_cached_and_readonly(self):
+        basis = monomial_basis(3, 4)
+        assert monomial_basis(3, 4) is basis
+        with pytest.raises(ValueError):
+            basis[0, 0] = 5
 
 
 class TestVeroneseLift:
@@ -180,11 +186,11 @@ class TestRaiseTable:
         table = raise_table(degree, dim)
         lower = monomial_basis(degree - 1, dim)
         assert table.shape == (len(lower), dim)
-        for mono in lower:
+        for position, exponents in enumerate(lower.tolist()):
             for var in range(dim):
-                raised = list(mono.exponents)
+                raised = list(exponents)
                 raised[var] += 1
-                assert table[mono.position, var] == monomial_position(raised, dim)
+                assert table[position, var] == monomial_position(raised, dim)
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -197,12 +203,12 @@ class TestDerivativeOperator:
     def test_matches_lookup_oracle(self, degree, dim):
         for axis in range(dim):
             assert_identical(
-                derivative_operator(degree, axis, dim).matrix,
+                derivative_operator(degree, axis, dim),
                 reference_derivative_matrix(degree, axis, dim),
             )
 
     def test_degree_two_first_variable(self):
-        mat = derivative_operator(2, 0, 3).matrix
+        mat = derivative_operator(2, 0, 3)
         expected = np.array(
             [[2, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0], [0, 0, 0]],
             dtype=float,
@@ -210,7 +216,7 @@ class TestDerivativeOperator:
         assert np.array_equal(mat, expected)
 
     def test_degree_two_third_variable(self):
-        mat = derivative_operator(2, 2, 3).matrix
+        mat = derivative_operator(2, 2, 3)
         expected = np.array(
             [[0, 0, 0], [0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 1, 0], [0, 0, 2]],
             dtype=float,
@@ -219,18 +225,16 @@ class TestDerivativeOperator:
 
     @pytest.mark.parametrize("axis", [0, 1, 2, 3])
     def test_degree_one_rows_are_kronecker_deltas(self, axis):
-        mat = derivative_operator(1, axis, 4).matrix
+        mat = derivative_operator(1, axis, 4)
         assert mat.shape == (4, 1)
         assert np.array_equal(mat[:, 0], np.eye(4)[axis])
 
     def test_row_structure_single_nonzero(self):
         for degree, dim in [(2, 3), (3, 2), (4, 3)]:
             for axis in range(dim):
-                mat = derivative_operator(degree, axis, dim).matrix
+                mat = derivative_operator(degree, axis, dim)
                 assert np.all((mat != 0).sum(axis=1) <= 1)
-                for mono in monomial_basis(degree, dim):
-                    row = mat[mono.position]
-                    assert row.sum() == mono.exponents[axis]
+                assert np.array_equal(mat.sum(axis=1), monomial_basis(degree, dim)[:, axis])
 
     def test_finite_difference_agreement(self):
         rng = np.random.default_rng(2)
@@ -242,7 +246,7 @@ class TestDerivativeOperator:
                 step = np.zeros(dim)
                 step[axis] = h
                 numeric = (veronese_lift(x + step, degree) - veronese_lift(x - step, degree)) / (2 * h)
-                analytic = derivative_operator(degree, axis, dim).matrix @ lower
+                analytic = derivative_operator(degree, axis, dim) @ lower
                 scale = max(np.linalg.norm(numeric), 1.0)
                 assert np.linalg.norm(numeric - analytic) <= 1e-6 * scale
 
@@ -254,7 +258,7 @@ class TestDerivativeOperator:
             c = rng.standard_normal(monomial_count(degree, dim))
             lower = veronese_lift(x, degree - 1)
             total = sum(
-                x[k] * (c @ derivative_operator(degree, k, dim).matrix @ lower)
+                x[k] * (c @ derivative_operator(degree, k, dim) @ lower)
                 for k in range(dim)
             )
             assert np.isclose(total, degree * (c @ veronese_lift(x, degree)), rtol=1e-10)
@@ -264,4 +268,4 @@ class TestDerivativeOperator:
         b = derivative_operator(3, 1, 3)
         assert a is b
         with pytest.raises(ValueError):
-            a.matrix[0, 0] = 99.0
+            a[0, 0] = 99.0

@@ -45,9 +45,8 @@ def monomial_polynomial(exponents, dim):
 
 def intro_quadratic_basis():
     """The basis {x1*x3, x2*x3} of the line-plus-plane configuration."""
-    return PolynomialBasis(
-        (monomial_polynomial((1, 0, 1), 3), monomial_polynomial((0, 1, 1), 3))
-    )
+    rows = [monomial_polynomial(e, 3).coefficients for e in ((1, 0, 1), (0, 1, 1))]
+    return PolynomialBasis(2, 3, np.vstack(rows))
 
 
 def product_basis(spans, degree=None):
@@ -62,9 +61,7 @@ def product_basis(spans, degree=None):
         rows.append(product_of_linear_forms(normals).coefficients)
     mat = np.vstack(rows)
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    coeffs = vt[s > 1e-10 * s[0]]
-    n = len(spans)
-    return PolynomialBasis(tuple(HomogeneousPolynomial(n, dim, c) for c in coeffs))
+    return PolynomialBasis(len(spans), dim, vt[s > 1e-10 * s[0]])
 
 
 def brute_force_distance(x, spans):
