@@ -3,7 +3,6 @@
 from .baselines import IterativeConfig, em_mixture_pca, k_subspaces
 from .discovery import (
     DiscoveryReport,
-    DiscoveryResult,
     count_hyperplanes,
     discover_equal_dim,
     project,

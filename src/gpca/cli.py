@@ -6,7 +6,9 @@ codes: 0 success, 2 input error, 3 fit failure, 4 discovery failure.
 Input is checked before any fitting: data values must be finite, points
 need at least 2 coordinates, counts are at least 1, kappa and focal are
 positive, delta is not negative, outlier levels lie inside (0, 1), and
-motion needs a moving correspondence or at least 5 tracks.
+motion needs a moving correspondence or at least 5 tracks. `segment` and
+`motion` need at least `fitting.min_samples(n, D)` points for n subspaces
+in R^D.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .discovery import count_hyperplanes, discover_equal_dim, recursive_segment
 from .errors import DiscoveryError, FitError, GpcaError, InputError
 from .experiment import ExperimentConfig, run_experiment, rows_to_csv
-from .fitting import DEFAULT_KAPPA, embed, fit_vanishing
+from .fitting import DEFAULT_KAPPA, embed, fit_vanishing, min_samples
 from .motion import (
     convert_w_matrix,
     epipolar_lines,
@@ -68,6 +70,15 @@ def _load_points(path):
     if X.shape[1] < 2:
         raise InputError(f"{path}: points need at least 2 coordinates to lie on subspaces")
     return _finite(X, path), sidecar
+
+
+def _check_samples(points, n, path):
+    needed = min_samples(n, points.shape[1])
+    if points.shape[0] < needed:
+        raise InputError(
+            f"{path}: {points.shape[0]} points cannot fit {n} subspaces "
+            f"in R^{points.shape[1]}; at least {needed} are needed"
+        )
 
 
 def _model_payload(model):
@@ -172,6 +183,7 @@ def _check_args(args):
 
 def cmd_segment(args) -> int:
     X, _ = _load_points(args.data)
+    _check_samples(X, args.n, args.data)
     outliers = np.zeros(X.shape[0], dtype=bool)
     if args.outliers:
         basis, _ = fit_vanishing(embed(X, args.n), args.kappa)
@@ -195,17 +207,9 @@ def cmd_segment(args) -> int:
 def cmd_discover(args) -> int:
     X, _ = _load_points(args.data)
     if args.equal_dim:
-        result = discover_equal_dim(X, args.n_max, args.kappa)
-        lines = ["equal-dimension discovery", f"  d: {result.d}", f"  n: {result.n}"]
-        lines.append("rank table (level, degree, dim, M, rank, nullity)")
-        for p in result.rank_table:
-            lines.append(
-                f"  l={p.level} i={p.degree} dim={p.ambient_dim} "
-                f"M={p.embedded_dim} rank={p.rank} nullity={p.nullity}"
-            )
-        _write_text("\n".join(lines) + "\n", args.out)
-        return EXIT_OK
-    _, report = recursive_segment(X, args.n_max, args.kappa, args.delta)
+        report = discover_equal_dim(X, args.n_max, args.kappa)
+    else:
+        _, report = recursive_segment(X, args.n_max, args.kappa, args.delta)
     _write_text(report.to_text(), args.out)
     return EXIT_OK
 
@@ -251,6 +255,7 @@ def cmd_motion(args) -> int:
             raise InputError(f"{args.input}: {len(tracks)} tracks; at least 5 are needed")
         points = project_trajectories(trajectory_matrix(tracks))
     n = count_hyperplanes(points, args.n_max, args.kappa) if args.n == "auto" else args.n
+    _check_samples(points, n, args.input)
     seg = segment(points, n, args.kappa, args.delta)
     payload = _segment_payload(f"motion-{args.mode}", seg, n, args.kappa, args.delta)
     if args.mode == "epipolar":
@@ -294,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--equal-dim",
         action="store_true",
-        help="assume equal dimensions and report (d, n) instead of recursing",
+        help="assume equal dimensions instead of recursing",
     )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_discover)

@@ -30,7 +30,6 @@ __all__ = [
     "RankProbe",
     "DiscoveryNode",
     "DiscoveryReport",
-    "DiscoveryResult",
     "project",
     "count_hyperplanes",
     "discover_equal_dim",
@@ -84,7 +83,7 @@ class DiscoveryReport:
     """Structured record of a discovery run: counts, dims, probes, and tree."""
 
     n: int
-    d: int | tuple[int, ...]
+    d: tuple[int, ...]
     kappa: float
     rank_table: tuple[RankProbe, ...]
     tree: DiscoveryNode | None = None
@@ -92,9 +91,8 @@ class DiscoveryReport:
     def to_text(self) -> str:
         """Deterministic plain-text rendering (rank table plus recursion tree)."""
         lines = ["discovery report"]
-        dims = self.d if isinstance(self.d, tuple) else (self.d,)
         lines.append(f"  subspaces: {self.n}")
-        lines.append(f"  dims: {list(dims)}")
+        lines.append(f"  dims: {list(self.d)}")
         lines.append(f"  kappa: {self.kappa!r}")
         lines.append("rank table (node, level, degree, dim, M, rank, nullity)")
         for p in self.rank_table:
@@ -124,33 +122,15 @@ class DiscoveryReport:
         return out
 
 
-@dataclass(frozen=True)
-class DiscoveryResult:
-    """Equal-dimension discovery outcome; unpacks as (d, n)."""
-
-    d: int
-    n: int
-    rank_table: tuple[RankProbe, ...]
-
-    def __iter__(self):
-        return iter((self.d, self.n))
-
-
 def project(
-    X,
-    new_dim: int,
-    kind: str = "pca",
-    seed: int | None = None,
-    trials: int = 1,
-    fit_degree: int | None = None,
+    X, new_dim: int, kind: str = "pca", seed: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Project points to new_dim dimensions, preserving generic arrangements.
 
     Returns the read-only (new_dim, D) row-orthonormal map and the (N,
     new_dim) projected points. "pca" keeps the top principal directions of
-    the data matrix; "random" draws a row-orthonormalized Gaussian map.
-    With trials > 1 (random kind), several seeds are drawn and the one whose
-    projected data admits the tightest vanishing fit at `fit_degree` wins.
+    the data matrix; "random" draws a row-orthonormalized Gaussian map from
+    `seed`.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     D = X.shape[1]
@@ -163,21 +143,9 @@ def project(
         return _projected(left[:, :new_dim].T, X)
     if kind != "random":
         raise ValueError(f"unknown projection kind {kind!r}")
-    if trials > 1 and fit_degree is None:
-        raise ValueError("selecting among random projections needs fit_degree")
-    seeds = np.random.SeedSequence(seed).spawn(max(1, trials))
-    best = None
-    for child in seeds:
-        rng = np.random.default_rng(child)
-        mat, _ = np.linalg.qr(rng.standard_normal((D, new_dim)))
-        matrix, projected = _projected(mat.T, X)
-        if trials <= 1:
-            return matrix, projected
-        sv = embed(projected, fit_degree, warn=False).singular_values
-        error = float(sv[-1] / sv[0]) if sv[0] > 0 else np.inf
-        if best is None or error < best[0]:
-            best = (error, matrix, projected)
-    return best[1], best[2]
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    mat, _ = np.linalg.qr(rng.standard_normal((D, new_dim)))
+    return _projected(mat.T, X)
 
 
 def _projected(matrix, X) -> tuple[np.ndarray, np.ndarray]:
@@ -213,15 +181,15 @@ def _probe(X, degree, level, dim, kappa, node: str, vanish_tol: float) -> RankPr
     )
 
 
-def _probe_sweep(X, n_max, kappa, vanish_tol, node: str):
+def _probe_sweep(X, n_max, kappa, vanish_tol, node: str, levels=None):
     """Rank probes on PCA projections in (level, degree) order.
 
-    Yields (projected points, probe) for levels 1..D-1 and degrees
-    1..n_max, moving to the next level once the degree needs more monomials
-    than there are points.
+    Yields (projected points, probe) for `levels` (default 1..D-1) and
+    degrees 1..n_max, moving to the next level once the degree needs more
+    monomials than there are points.
     """
     N, D = X.shape
-    for level in range(1, D):
+    for level in range(1, D) if levels is None else levels:
         _, projected = project(X, level + 1, kind="pca")
         for degree in range(1, n_max + 1):
             if N < monomial_count(degree, level + 1):
@@ -237,38 +205,35 @@ def count_hyperplanes(
     """Smallest degree at which the embedded data matrix drops rank.
 
     Valid when every subspace is a hyperplane of the ambient space; the
-    first deficient degree equals the number of hyperplanes.
+    first deficient degree of the sweep's top level (D-1, no projection
+    beyond a rotation) equals the number of hyperplanes.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    D = X.shape[1]
-    for degree in range(1, n_max + 1):
-        if X.shape[0] < monomial_count(degree, D):
-            raise DiscoveryError(
-                f"only {X.shape[0]} samples; cannot probe degree {degree} "
-                f"({monomial_count(degree, D)} monomials)"
-            )
-        probe = _probe(X, degree, D - 1, D, kappa, node="", vanish_tol=vanish_tol)
+    N, D = X.shape
+    for _, probe in _probe_sweep(X, n_max, kappa, vanish_tol, node="", levels=(D - 1,)):
         if probe.nullity >= 1:
-            return degree
-    raise DiscoveryError(f"no arrangement of at most {n_max} hyperplanes fits the data")
+            return probe.degree
+    raise DiscoveryError(f"no arrangement of at most {n_max} hyperplanes fits {N} samples")
 
 
 def discover_equal_dim(
     X, n_max: int, kappa: float = DEFAULT_KAPPA, vanish_tol: float = DEFAULT_VANISH_TOL
-) -> DiscoveryResult:
+) -> DiscoveryReport:
     """Common dimension and count for subspaces of equal unknown dimension.
 
     Sweeps candidate dimensions from below: project to ell+1 dimensions and
-    probe degrees 1..n_max; the first deficiency wins. Projecting below the
-    true dimension fills the whole space and stays full rank, so the sweep
-    cannot stop early with an undersized answer.
+    probe degrees 1..n_max; the first deficiency wins, reported as n
+    subspaces of dimension ell. Projecting below the true dimension fills
+    the whole space and stays full rank, so the sweep cannot stop early with
+    an undersized answer.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     probes: list[RankProbe] = []
     for _, probe in _probe_sweep(X, n_max, kappa, vanish_tol, node=""):
         probes.append(probe)
         if probe.nullity >= 1:
-            return DiscoveryResult(d=probe.level, n=probe.degree, rank_table=tuple(probes))
+            n = probe.degree
+            return DiscoveryReport(n, (probe.level,) * n, kappa, tuple(probes))
     raise DiscoveryError(
         f"no equal-dimension arrangement found with up to {n_max} subspaces"
     )

@@ -58,8 +58,12 @@ class ExperimentConfig:
             raise InputError(f"unknown algorithms {unknown}; roster is {list(ALGORITHMS)}")
         if self.trials < 1:
             raise InputError("trials must be at least 1")
-        if any(s < 0 for s in self.noise_grid):
-            raise InputError("noise levels cannot be negative")
+        if not all(np.isfinite(s) and s >= 0 for s in self.noise_grid):
+            raise InputError("noise levels must be finite and not negative")
+        if not (np.isfinite(self.kappa) and self.kappa > 0):
+            raise InputError(f"kappa must be a positive number, got {self.kappa}")
+        if not (np.isfinite(self.delta) and self.delta >= 0):
+            raise InputError(f"delta must be a non-negative number, got {self.delta}")
         if self.n < 1:
             raise InputError("need at least one subspace")
         dims = self.dims
@@ -68,6 +72,10 @@ class ExperimentConfig:
         object.__setattr__(self, "dims", tuple(int(d) for d in dims))
         if len(self.dims) != self.n:
             raise InputError(f"{len(self.dims)} dims for n={self.n}")
+        if any(not 0 < d < self.ambient_dim for d in self.dims):
+            raise InputError(f"dims must lie strictly between 0 and {self.ambient_dim}")
+        if self.points_per_subspace < max(self.dims):
+            raise InputError("points_per_subspace must be at least the largest subspace dim")
 
 
 @dataclass(frozen=True)

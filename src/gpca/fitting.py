@@ -23,6 +23,7 @@ __all__ = [
     "EmbeddedMatrix",
     "RankDecision",
     "embed",
+    "min_samples",
     "select_rank",
     "vanishing_basis",
     "fit_vanishing",
@@ -67,13 +68,19 @@ class RankDecision:
     kappa: float
 
 
+def min_samples(degree: int, dim: int) -> int:
+    """Fewest points that can isolate a null space at this degree and dimension."""
+    return monomial_count(degree, dim) - 1
+
+
 def embed(X, degree: int, *, warn: bool = True) -> EmbeddedMatrix:
     """Assemble the embedded data matrix of a point set at the given degree.
 
     Points are scaled to unit norm first: lifted entries grow like
     ||x||^degree, and normalization equalizes each point's weight in the
     algebraic least squares. Issues a SampleSufficiencyWarning when there are
-    too few points to pin down even a one-dimensional null space.
+    fewer than `min_samples` points, too few to pin down even a
+    one-dimensional null space.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -81,11 +88,11 @@ def embed(X, degree: int, *, warn: bool = True) -> EmbeddedMatrix:
     n_points, dim = X.shape
     if n_points == 0:
         raise ValueError("cannot embed an empty point set")
-    count = monomial_count(degree, dim)
-    if warn and n_points < count - 1:
+    needed = min_samples(degree, dim)
+    if warn and n_points < needed:
         warnings.warn(
-            f"{n_points} samples for {count} degree-{degree} monomials; "
-            f"at least {count - 1} are needed to isolate the null space",
+            f"{n_points} samples for {monomial_count(degree, dim)} degree-{degree} monomials; "
+            f"at least {needed} are needed to isolate the null space",
             SampleSufficiencyWarning,
             stacklevel=2,
         )

@@ -113,12 +113,12 @@ class TestCriterion3EqualDimensionDiscovery:
     def test_two_coordinate_lines(self):
         start = time.perf_counter()
         X, _, _ = two_coordinate_lines(points_per=200)
-        d, n = discover_equal_dim(X, 4)
+        found = discover_equal_dim(X, 4)
         elapsed = time.perf_counter() - start
         report(
             "criterion 3: two coordinate lines discovered as (d=1, n=2)",
-            (d, n) == (1, 2) and elapsed < 5.0,
-            f"(d, n) = {(d, n)}, {elapsed:.2f}s",
+            (found.n, found.d) == (2, (1, 1)) and elapsed < 5.0,
+            f"n = {found.n}, dims = {found.d}, {elapsed:.2f}s",
         )
 
 
@@ -427,10 +427,10 @@ class TestPropertySuites:
         for seed in range(trials):
             _, projected = project(X, 2, kind="random", seed=seed)
             try:
-                d, n = discover_equal_dim(projected, 4)
+                found = discover_equal_dim(projected, 4)
             except DiscoveryError:
                 continue
-            hits += (d, n) == (1, 3)
+            hits += (found.n, found.d) == (3, (1, 1, 1))
         report(
             "property: segmentation-preserving projections",
             hits / trials >= 0.95,

@@ -140,9 +140,7 @@ class TestSegment:
             == 2
         )
 
-    def test_undersampled_degree_warns(self, tmp_path):
-        from gpca.fitting import SampleSufficiencyWarning
-
+    def test_undersampled_degree_rejected(self, tmp_path):
         small = tmp_path / "small.csv"
         rng = np.random.default_rng(3)
         pts = rng.standard_normal((8, 3))
@@ -150,8 +148,9 @@ class TestSegment:
         with open(small, "w") as fh:
             for row in pts:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
-        with pytest.warns(SampleSufficiencyWarning):
-            main(["segment", "--data", str(small), "--n", "4", "--out", str(tmp_path / "r.json")])
+        argv = ["segment", "--data", str(small), "--n", "4", "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 2
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestDiscover:
@@ -180,7 +179,8 @@ class TestDiscover:
         )
         assert code == 0
         text = capsys.readouterr().out
-        assert "d: 1" in text and "n: 2" in text
+        assert "discovery report\n" in text
+        assert "subspaces: 2" in text and "dims: [1, 1]" in text
 
     def test_discovery_failure_exit_code(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -424,6 +424,7 @@ def _input_files(folder):
     tracks, _ = affine_scene(2, 10, 4, seed=1)
     files = {"good": X, "nan": X.copy(), "inf": X.copy(), "column": X[:, :1]}
     files.update(corr=corr, nan_corr=corr.copy(), still=np.tile([1.0, 2.0, 1.0, 2.0], (9, 1)))
+    files.update(point=X[:1], one_corr=corr[:1])
     files["nan"][3, 1] = np.nan
     files["inf"][5, 0] = -np.inf
     files["nan_corr"][4, 2] = np.nan
@@ -436,6 +437,15 @@ def _input_files(folder):
     tracks[2, 1, 0] = np.nan
     paths["nan_tracks"] = str(folder / "nan_tracks.txt")
     write_tracks(paths["nan_tracks"], tracks)
+    base = {"algorithms": ["gpca"], "noise_grid": [0.0], "trials": 1, "n": 1}
+    configs = {
+        "full_dim": {"dims": [3], "ambient_dim": 3},
+        "line_space": {"ambient_dim": 1},
+        "no_points": {"points_per_subspace": 0},
+    }
+    for name, fields in configs.items():
+        paths[name] = str(folder / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps({**base, **fields}))
     return paths
 
 
@@ -460,6 +470,11 @@ class TestInputValidation:
             ["segment", "--data", "{good}", "--n", "2", "--delta", "nan"],
             ["motion", "--mode", "epipolar", "--input", "{still}"],
             ["motion", "--mode", "affine", "--input", "{few_tracks}"],
+            ["experiment", "--config", "{full_dim}"],
+            ["experiment", "--config", "{line_space}"],
+            ["experiment", "--config", "{no_points}"],
+            ["segment", "--data", "{point}", "--n", "2"],
+            ["motion", "--mode", "epipolar", "--input", "{one_corr}", "--n", "2"],
         ],
     )
     def test_rejected_with_exit_2(self, argv, tmp_path, capsys):
@@ -492,6 +507,53 @@ def _cli_calls(draw):
     return X, argv + ([] if kappa is None else ["--kappa", kappa])
 
 
+@st.composite
+def _motion_calls(draw):
+    """A small correspondence CSV, maybe with stationary or NaN rows, and motion flags."""
+    rows = draw(st.integers(1, 60))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        motions = draw(st.integers(1, 3))
+        noise = draw(st.sampled_from([0.0, 0.5]))
+        corr = synthetic_translations(motions, -(-rows // motions), noise, seed % 2**16)[0][:rows]
+    else:
+        corr = np.random.default_rng(seed).uniform(0.0, 500.0, size=(rows, 4))
+    hit = draw(st.lists(st.integers(0, rows - 1), max_size=3))
+    if draw(st.booleans()):
+        corr[hit, 2:] = corr[hit, :2]
+    else:
+        corr[hit, draw(st.integers(0, 3))] = np.nan
+    count = draw(st.sampled_from(["auto", "1", "2", "3", "4"]))
+    focal = draw(st.sampled_from([None, "1", "500", "1e4"]))
+    argv = ["motion", "--mode", "epipolar", "--n", count, "--n-max", "3"]
+    return corr, argv + ([] if focal is None else ["--focal", focal])
+
+
+@st.composite
+def _experiment_configs(draw):
+    """A small sweep config, some with dims, counts or sizes no arrangement allows."""
+    from gpca.experiment import ALGORITHMS
+
+    ambient = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3))
+    config = {
+        "algorithms": draw(st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=2)),
+        "noise_grid": draw(st.lists(st.sampled_from([0.0, 0.01, 0.05]), min_size=1, max_size=2)),
+        "trials": 1,
+        "n": n,
+        "ambient_dim": ambient,
+        "points_per_subspace": draw(st.integers(0, 30)),
+        "seed": draw(st.integers(0, 1000)),
+    }
+    if draw(st.booleans()):
+        config["dims"] = draw(st.lists(st.integers(0, ambient), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        config["kappa"] = draw(st.sampled_from([1e-6, 1e-3, 0.0, -1.0]))
+    if draw(st.booleans()):
+        config["delta"] = draw(st.sampled_from([0.0, 0.02, -1.0]))
+    return config
+
+
 class TestExitCodeContract:
     @settings(
         max_examples=300,
@@ -512,4 +574,42 @@ class TestExitCodeContract:
             if code == 0 and argv[0] == "segment":
                 jsonschema.validate(json.loads(out.read_text()), SCHEMA)
             elif code == 0:
-                assert out.read_text().startswith(("discovery report", "equal-dimension"))
+                assert out.read_text().startswith("discovery report")
+
+
+    @settings(
+        max_examples=300,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(call=_motion_calls())
+    def test_every_motion_call_exits_0_2_3_or_4(self, call):
+        corr, argv = call
+        with tempfile.TemporaryDirectory() as folder:
+            data, out = Path(folder) / "corr.csv", Path(folder) / "out"
+            _write_rows(data, corr)
+            with contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = main(argv + ["--input", str(data), "--out", str(out)])
+            assert code in (0, 2, 3, 4)
+            if code == 0:
+                jsonschema.validate(json.loads(out.read_text()), SCHEMA)
+
+    @settings(
+        max_examples=300,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(config=_experiment_configs())
+    def test_every_experiment_call_exits_0_2_3_or_4(self, config):
+        with tempfile.TemporaryDirectory() as folder:
+            path, out = Path(folder) / "config.json", Path(folder) / "rows.csv"
+            path.write_text(json.dumps(config))
+            with contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = main(["experiment", "--config", str(path), "--out", str(out)])
+            assert code in (0, 2, 3, 4)
+            if code == 0:
+                assert out.read_text().startswith("kind,algorithm,sigma,trial")

@@ -6,7 +6,7 @@ from util import lines_plus_plane, two_coordinate_lines
 
 from gpca._linalg import max_principal_angle
 from gpca.discovery import (
-    DiscoveryResult,
+    DiscoveryReport,
     count_hyperplanes,
     discover_equal_dim,
     project,
@@ -14,6 +14,7 @@ from gpca.discovery import (
 )
 from gpca.errors import DiscoveryError
 from gpca.metrics import matched_accuracy
+from gpca.motion import epipolar_lines, synthetic_translations
 from gpca.synthgen import ArrangementSpec, generate
 
 
@@ -28,8 +29,8 @@ class TestProject:
     def test_two_lines_project_to_two_lines(self):
         X, _, _ = generate(ArrangementSpec(3, (1, 1), 150, 0.0, seed=1))
         _, Xp = project(X, 2, kind="pca")
-        d, n = discover_equal_dim(Xp, 4)
-        assert (d, n) == (1, 2)
+        report = discover_equal_dim(Xp, 4)
+        assert (report.n, report.d) == (2, (1, 1))
 
     def test_full_dimensional_pca_preserves_labels(self):
         from gpca.segmentation import segment
@@ -48,13 +49,12 @@ class TestProject:
             sv = np.linalg.svd(member.T, compute_uv=False)
             assert (sv > 1e-9 * sv[0]).sum() == 2
 
-    def test_random_projection_seeded_and_selected(self):
+    def test_random_projection_seeded(self):
         X, _, _ = generate(ArrangementSpec(4, (1, 1), 100, 0.0, seed=4))
         p1, X1 = project(X, 2, kind="random", seed=11)
         p2, X2 = project(X, 2, kind="random", seed=11)
         assert np.array_equal(p1, p2)
-        p3, _ = project(X, 2, kind="random", seed=11, trials=5, fit_degree=2)
-        assert p3.shape == (2, 4)
+        assert p1.shape == (2, 4)
 
     def test_upward_projection_rejected(self):
         X = np.zeros((10, 3))
@@ -76,6 +76,12 @@ class TestCountHyperplanes:
         X, _, _ = two_coordinate_lines()
         assert count_hyperplanes(X, 4) == 1
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_exact_epipolar_lines(self, n):
+        for seed in range(6):
+            corr, _, _ = synthetic_translations(n, 60, 0.0, seed)
+            assert count_hyperplanes(epipolar_lines(corr / 500).lines, 4) == n
+
     def test_no_fit_raises(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((50, 3))
@@ -86,18 +92,19 @@ class TestCountHyperplanes:
 class TestDiscoverEqualDim:
     def test_two_coordinate_lines(self):
         X, _, _ = two_coordinate_lines()
-        result = discover_equal_dim(X, 4)
-        assert isinstance(result, DiscoveryResult)
-        d, n = result
-        assert (d, n) == (1, 2)
+        report = discover_equal_dim(X, 4)
+        assert isinstance(report, DiscoveryReport)
+        assert (report.n, report.d) == (2, (1, 1))
 
     def test_one_plane(self):
         X, _, _ = generate(ArrangementSpec(3, (2,), 200, 0.0, seed=8))
-        assert tuple(discover_equal_dim(X, 4)) == (2, 1)
+        report = discover_equal_dim(X, 4)
+        assert (report.n, report.d) == (1, (2,))
 
     def test_three_lines_in_r5(self):
         X, _, _ = generate(ArrangementSpec(5, (1, 1, 1), 200, 0.0, seed=9))
-        assert tuple(discover_equal_dim(X, 5)) == (1, 3)
+        report = discover_equal_dim(X, 5)
+        assert (report.n, report.d) == (3, (1, 1, 1))
 
     def test_rank_table_recorded(self):
         X, _, _ = two_coordinate_lines()
@@ -180,8 +187,8 @@ class TestRecursiveSegment:
         for seed in range(trials):
             _, Xp = project(X, 2, kind="random", seed=seed)
             try:
-                d, n = discover_equal_dim(Xp, 4)
+                report = discover_equal_dim(Xp, 4)
             except DiscoveryError:
                 continue
-            hits += (d, n) == (1, 3)
+            hits += (report.n, report.d) == (3, (1, 1, 1))
         assert hits / trials >= 0.95
