@@ -13,6 +13,27 @@ def unit_rows(X):
     return X / safe
 
 
+# At two or more columns per row the QR route is the faster one; below that,
+# LAPACK's own economy SVD is as fast or faster.
+_QR_FIRST_RATIO = 2
+
+
+def left_svd(A):
+    """Left singular vectors and singular values of A, without the right factor.
+
+    Returns the (M, min(M, N)) and (min(M, N),) arrays that
+    np.linalg.svd(A, full_matrices=False) returns first, equal to rounding.
+    A wide A is first reduced by a QR factorization of its transpose
+    (Chan 1982): A = R^T Q^T, so the small square R^T has the same left
+    singular vectors and singular values.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.shape[1] >= _QR_FIRST_RATIO * A.shape[0]:
+        A = np.linalg.qr(A.T, mode="r").T
+    left, sv, _ = np.linalg.svd(A, full_matrices=False)
+    return left, sv
+
+
 def orthonormal_completion(U):
     """Return an orthonormal basis of the orthogonal complement of span(U).
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ._linalg import orthonormal_completion
+from .errors import FitError
 from .segmentation import Segmentation, SubspaceModel, assign
 
 __all__ = ["IterativeConfig", "k_subspaces", "em_mixture_pca"]
@@ -105,8 +105,31 @@ def _reseed_basis(X, residuals, d, D):
         norm = np.linalg.norm(cand)
         if norm > 1e-8:
             span.append(cand / norm)
+    if len(span) < d:
+        raise FitError(
+            f"cannot re-seed a {d}-dimensional subspace: the data span fewer directions"
+        )
     span_mat = np.column_stack(span)
     return orthonormal_completion(span_mat)
+
+
+def _log_sum_exp(a):
+    """Row-wise log(sum(exp(a))) of a 2-D array, as scipy.special.logsumexp.
+
+    The row maximum and its ties are split out of the sum for precision:
+    log1p(s / m) + log(m) + max, with s the sum of exp(a - max) over the
+    other entries and m the number of ties. Rows where that is not finite
+    (an all -inf row, an overflow) take the direct log of the sum.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = np.log(np.sum(np.exp(a), axis=1))
+        top = np.max(a, axis=1, keepdims=True)
+        at_top = a == top
+        ties = np.sum(at_top, axis=1, keepdims=True, dtype=float)
+        rest = np.sum(np.exp(np.where(at_top, -np.inf, a) - top), axis=1, keepdims=True)
+        rest = np.where(rest == 0, rest, rest / ties)
+        out = (np.log1p(rest) + np.log(ties) + top)[:, 0]
+    return np.where(np.isfinite(out), out, direct)
 
 
 def _residual_matrix(X, bases):
@@ -198,16 +221,14 @@ def em_mixture_pca(
     log_likelihood = -np.inf
     iterations = 0
     responsibilities = np.full((N, n), 1.0 / n)
+    residual2 = np.column_stack([np.sum((X @ B) ** 2, axis=1) for B in bases])
     for iterations in range(1, config.max_iters + 1):
-        residual2 = np.column_stack(
-            [np.sum((X @ B) ** 2, axis=1) for B in bases]
-        )
         log_density = (
             np.log(weights)[None, :]
             - 0.5 * codims[None, :] * np.log(2.0 * np.pi * sigma2)[None, :]
             - 0.5 * residual2 / sigma2[None, :]
         )
-        norm = logsumexp(log_density, axis=1)
+        norm = _log_sum_exp(log_density)
         responsibilities = np.exp(log_density - norm[:, None])
         new_log_likelihood = float(norm.sum())
         if likelihood_history is not None:

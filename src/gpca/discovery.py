@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import orthonormal_completion
+from ._linalg import left_svd, orthonormal_completion
 from .errors import DiscoveryError, FitError
 from .fitting import DEFAULT_KAPPA, embed, select_rank
 from .segmentation import (
@@ -139,7 +139,7 @@ def project(
     if new_dim < 1:
         raise ValueError("projection needs at least one dimension")
     if kind == "pca":
-        left, _, _ = np.linalg.svd(X.T, full_matrices=False)
+        left, _ = left_svd(X.T)
         return _projected(left[:, :new_dim].T, X)
     if kind != "random":
         raise ValueError(f"unknown projection kind {kind!r}")
@@ -269,13 +269,12 @@ def recursive_segment(
         tightened_to = None
 
         # Tighten the ambient space to the span of the points.
-        data_sv = np.linalg.svd(local.T, compute_uv=False)
+        left, data_sv = left_svd(local.T)
         span_dec = select_rank(
             data_sv, kappa, total=cur_dim, allow_full_rank=True
         )
         if span_dec.nullity > 0:
             keep = span_dec.effective_rank
-            left, _, _ = np.linalg.svd(local.T, full_matrices=False)
             rot = left[:, :keep]
             local = local @ rot
             cur_basis = cur_basis @ rot

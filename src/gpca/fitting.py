@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import orthonormal_completion, unit_rows
+from ._linalg import left_svd, orthonormal_completion, unit_rows
 from .errors import DegenerateDataError
 from .polynomial import PolynomialBasis
 from .veronese import monomial_count, veronese_lift
@@ -43,6 +43,8 @@ class EmbeddedMatrix:
     `matrix` has shape (M, N) with M = monomial_count(degree, dim); column j
     is the lift of `points[j]`. `singular_values` are the economy-size SVD
     values, descending; values beyond min(M, N) are implicitly zero.
+    They and `left_vectors` come from `left_svd`, equal to
+    np.linalg.svd(matrix, full_matrices=False)'s to rounding.
     """
 
     degree: int
@@ -98,7 +100,7 @@ def embed(X, degree: int, *, warn: bool = True) -> EmbeddedMatrix:
         )
     pts = unit_rows(X)
     matrix = veronese_lift(pts, degree).T
-    left, sv, _ = np.linalg.svd(matrix, full_matrices=False)
+    left, sv = left_svd(matrix)
     return EmbeddedMatrix(
         degree=degree,
         dim=dim,

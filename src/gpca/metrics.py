@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = ["confusion_matrix", "matched_accuracy"]
 
@@ -27,6 +26,9 @@ def matched_accuracy(true_labels, estimated_labels, size: int | None = None) -> 
 
     Outlier marks (negative labels) never count as agreement.
     """
+    # scipy is imported on first use: it takes longer to import than gpca.
+    from scipy.optimize import linear_sum_assignment
+
     conf = confusion_matrix(true_labels, estimated_labels, size)
     rows, cols = linear_sum_assignment(-conf)
     return float(conf[rows, cols].sum() / len(np.asarray(true_labels)))

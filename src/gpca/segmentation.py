@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
+from ._linalg import left_svd
 from .errors import FitError, StageError
 from .fitting import (
     DEFAULT_KAPPA,
@@ -272,7 +272,7 @@ def peel(
     if P.degree < 2:
         raise ValueError("cannot peel below degree 1")
     matrix = embedded.matrix if isinstance(embedded, EmbeddedMatrix) else np.asarray(embedded)
-    left, sv, _ = np.linalg.svd(_peel_matrix(matrix, P.degree, model), full_matrices=False)
+    left, sv = left_svd(_peel_matrix(matrix, P.degree, model))
     if sv.size == monomial_count(P.degree - 1, P.dim) and sv[-1] > _PEEL_NULLSPACE_RTOL * sv[0]:
         raise FitError(
             "empty null space after division; the subspace count is likely "
@@ -320,7 +320,7 @@ def segment(
     for degree in range(n, 0, -1):
         try:
             if degree < n:
-                left, sv, _ = np.linalg.svd(fit_matrix, full_matrices=False)
+                left, sv = left_svd(fit_matrix)
             basis, decision = _null_space_fit(left, sv, degree, dim, kappa)
             if degree == n:
                 top_basis = basis
@@ -387,6 +387,9 @@ def reject_outliers(
     if mode == "percentile":
         mask = d2 <= np.quantile(d2, threshold)
     elif mode == "chi2":
+        # scipy is imported on first use: it takes longer to import than gpca.
+        from scipy import stats
+
         dof = P.degree if dof is None else int(dof)
         sigma2 = float(np.median(d2)) / stats.chi2.median(dof)
         if sigma2 <= 1e-300:

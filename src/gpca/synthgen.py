@@ -7,7 +7,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ._linalg import max_principal_angle, orthonormal_completion, vector_angle
 from .errors import InputError
@@ -130,6 +129,9 @@ def angle_error(true_models, estimated_models) -> float:
     is only defined up to sign; higher-codimension complements compare by
     largest principal angle.
     """
+    # scipy is imported on first use: it takes longer to import than gpca.
+    from scipy.optimize import linear_sum_assignment
+
     true_bases = [_complement_of(m) for m in true_models]
     est_bases = [_complement_of(m) for m in estimated_models]
     if len(true_bases) != len(est_bases):

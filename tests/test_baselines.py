@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gpca.baselines import IterativeConfig, em_mixture_pca, k_subspaces
+from gpca.errors import FitError
 from gpca.metrics import confusion_matrix, matched_accuracy
 from gpca.segmentation import segment
 from gpca.synthgen import ArrangementSpec, angle_error, generate
@@ -61,6 +62,12 @@ class TestKSubspaces:
         X = np.random.default_rng(0).standard_normal((20, 3))
         with pytest.raises(ValueError):
             k_subspaces(X, 2, [2, 2, 2])
+
+    def test_reseed_beyond_the_data_span_is_a_fit_error(self):
+        # two points span two directions; an emptied 3-dim cluster cannot be re-seeded
+        X, _, _ = generate(ArrangementSpec(4, (3, 3), 1, 0.0, seed=4))
+        with pytest.raises(FitError):
+            k_subspaces(X, 2, [3, 3], IterativeConfig(seed=4))
 
 
 class TestEmMixturePca:

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import gpca
 from gpca.cli import main
 from gpca.metrics import matched_accuracy
 from gpca.motion import synthetic_translations, write_tracks
@@ -613,3 +617,23 @@ class TestExitCodeContract:
             assert code in (0, 2, 3, 4)
             if code == 0:
                 assert out.read_text().startswith("kind,algorithm,sigma,trial")
+
+
+class TestImport:
+    def test_import_loads_no_scipy(self):
+        # scipy is imported where it is used; loading it at import time
+        # would cost more than the rest of gpca together
+        code = (
+            "import sys; import gpca, gpca.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        src = str(Path(gpca.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert result.stdout.strip() == "[]"

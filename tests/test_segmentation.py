@@ -200,20 +200,25 @@ class TestPeel:
         X, models, _ = generate(ArrangementSpec(3, (2, 2, 2), 150, 0.01, seed=5))
         em = embed(X, 3)
         P = vanishing_basis(em)
+        M, N = monomial_count(2, 3), X.shape[0]
         calls = []
-        svd = np.linalg.svd
 
-        def spy(*args, **kwargs):
-            calls.append(np.shape(args[0]))
-            return svd(*args, **kwargs)
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append((name, np.shape(args[0])))
+                return fn(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", spy)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "qr", spy("qr", np.linalg.qr))
         lower = peel(P, models[0], em)
         assert len(lower) == 1
-        # one factorization of the stacked M_2 x N matrix; the only other SVD
-        # is the (1, 6) independence check of the new basis
-        assert calls.count((monomial_count(2, 3), X.shape[0])) == 1
-        assert len(calls) == 2
+        # the stacked M_2 x N matrix is reduced by one QR of its transpose and
+        # never factored whole; the SVDs are of the M_2 x M_2 triangular factor
+        # and the (1, 6) independence check of the new basis
+        assert [shape for name, shape in calls if name == "qr"] == [(N, M)]
+        assert [shape for name, shape in calls if name == "svd"] == [(M, M), (1, M)]
 
     def test_peel_consistency_on_remaining_points(self):
         X, models, labels = generate(ArrangementSpec(3, (2, 2, 2), 150, 0.0, seed=5))
@@ -346,6 +351,7 @@ class TestSegmentWork:
         for name, owner, attr in [
             ("lift", veronese, "veronese_lift"),
             ("svd", np.linalg, "svd"),
+            ("qr", np.linalg, "qr"),
             ("gradients", polynomial, "_lifted_gradients"),
         ]:
             original = getattr(owner, attr)
@@ -357,8 +363,9 @@ class TestSegmentWork:
         seg = segment(X, 4)
         assert len(seg.stages) == 4
 
-        embedded_svds = [a for name, a in calls if name == "svd" and np.shape(a[0]) == (M, N)]
-        assert len(embedded_svds) == 1
+        embedded_qrs = [a for name, a in calls if name == "qr" and np.shape(a[0]) == (N, M)]
+        assert len(embedded_qrs) == 1
+        assert not [a for name, a in calls if name == "svd" and np.shape(a[0]) == (M, N)]
         batch_lifts = collections.Counter(
             a[1] for name, a in calls if name == "lift" and np.shape(a[0]) == (N, 5)
         )
