@@ -6,9 +6,9 @@ codes: 0 success, 2 input error, 3 fit failure, 4 discovery failure.
 Input is checked before any fitting: data values must be finite, points
 need at least 2 coordinates, counts are at least 1, kappa and focal are
 positive, delta is not negative, outlier levels lie inside (0, 1), and
-motion needs a moving correspondence or at least 5 tracks. `segment` and
-`motion` need at least `fitting.min_samples(n, D)` points for n subspaces
-in R^D.
+motion needs a moving correspondence or at least 5 tracks of 3 frames.
+`segment` and `motion` need at least `fitting.min_samples(n, D)` points
+for n subspaces in R^D.
 """
 
 from __future__ import annotations
@@ -253,6 +253,8 @@ def cmd_motion(args) -> int:
         tracks = _finite(reader(args.input), args.input)
         if len(tracks) < 5:
             raise InputError(f"{args.input}: {len(tracks)} tracks; at least 5 are needed")
+        if tracks.shape[1] < 3:
+            raise InputError(f"{args.input}: {tracks.shape[1]} frames; at least 3 are needed")
         points = project_trajectories(trajectory_matrix(tracks))
     n = count_hyperplanes(points, args.n_max, args.kappa) if args.n == "auto" else args.n
     _check_samples(points, n, args.input)

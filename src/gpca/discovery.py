@@ -36,14 +36,14 @@ __all__ = [
     "recursive_segment",
 ]
 
-# Residual threshold (noiseless default) for flagging points that do not sit
-# cleanly on their assigned subspace during recursive splitting.
-DEFAULT_MEMBERSHIP_TOL = 1e-6
+# Residual threshold for flagging points that do not sit cleanly on their
+# assigned subspace during recursive splitting.
+_MEMBERSHIP_TOL = 1e-6
 
 # A rank probe only counts as a deficiency when its null direction actually
 # vanishes on the data at this relative tolerance: thin-but-nonzero spectrum
-# directions otherwise masquerade as structure. Raise it for noisy data.
-DEFAULT_VANISH_TOL = 1e-6
+# directions otherwise masquerade as structure.
+_VANISH_TOL = 1e-6
 
 # Fraction of points allowed beyond the membership tolerance before a split
 # is rejected as the product of a degenerate projection.
@@ -140,6 +140,9 @@ def project(
         raise ValueError("projection needs at least one dimension")
     if kind == "pca":
         left, _ = left_svd(X.T)
+        if left.shape[1] < new_dim:
+            # fewer points than dimensions: complete the point span orthonormally
+            left = np.hstack([left, orthonormal_completion(left)])
         return _projected(left[:, :new_dim].T, X)
     if kind != "random":
         raise ValueError(f"unknown projection kind {kind!r}")
@@ -155,7 +158,7 @@ def _projected(matrix, X) -> tuple[np.ndarray, np.ndarray]:
     return matrix, X @ matrix.T
 
 
-def _probe(X, degree, level, dim, kappa, node: str, vanish_tol: float) -> RankProbe:
+def _probe(X, degree, level, dim, kappa, node: str) -> RankProbe:
     embedded = embed(X, degree, warn=False)
     count = monomial_count(degree, dim)
     decision = select_rank(
@@ -168,7 +171,7 @@ def _probe(X, degree, level, dim, kappa, node: str, vanish_tol: float) -> RankPr
         direction = embedded.left_vectors[:, -1]
         scales = np.maximum(np.linalg.norm(embedded.matrix, axis=0), 1e-300)
         residual = float(np.max(np.abs(direction @ embedded.matrix) / scales))
-        if residual > vanish_tol:
+        if residual > _VANISH_TOL:
             nullity = 0
     return RankProbe(
         node=node,
@@ -181,7 +184,7 @@ def _probe(X, degree, level, dim, kappa, node: str, vanish_tol: float) -> RankPr
     )
 
 
-def _probe_sweep(X, n_max, kappa, vanish_tol, node: str, levels=None):
+def _probe_sweep(X, n_max, kappa, node: str, levels=None):
     """Rank probes on PCA projections in (level, degree) order.
 
     Yields (projected points, probe) for `levels` (default 1..D-1) and
@@ -194,14 +197,10 @@ def _probe_sweep(X, n_max, kappa, vanish_tol, node: str, levels=None):
         for degree in range(1, n_max + 1):
             if N < monomial_count(degree, level + 1):
                 break
-            yield projected, _probe(
-                projected, degree, level, level + 1, kappa, node=node, vanish_tol=vanish_tol
-            )
+            yield projected, _probe(projected, degree, level, level + 1, kappa, node=node)
 
 
-def count_hyperplanes(
-    X, n_max: int, kappa: float = DEFAULT_KAPPA, vanish_tol: float = DEFAULT_VANISH_TOL
-) -> int:
+def count_hyperplanes(X, n_max: int, kappa: float = DEFAULT_KAPPA) -> int:
     """Smallest degree at which the embedded data matrix drops rank.
 
     Valid when every subspace is a hyperplane of the ambient space; the
@@ -210,15 +209,13 @@ def count_hyperplanes(
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     N, D = X.shape
-    for _, probe in _probe_sweep(X, n_max, kappa, vanish_tol, node="", levels=(D - 1,)):
+    for _, probe in _probe_sweep(X, n_max, kappa, node="", levels=(D - 1,)):
         if probe.nullity >= 1:
             return probe.degree
     raise DiscoveryError(f"no arrangement of at most {n_max} hyperplanes fits {N} samples")
 
 
-def discover_equal_dim(
-    X, n_max: int, kappa: float = DEFAULT_KAPPA, vanish_tol: float = DEFAULT_VANISH_TOL
-) -> DiscoveryReport:
+def discover_equal_dim(X, n_max: int, kappa: float = DEFAULT_KAPPA) -> DiscoveryReport:
     """Common dimension and count for subspaces of equal unknown dimension.
 
     Sweeps candidate dimensions from below: project to ell+1 dimensions and
@@ -229,7 +226,7 @@ def discover_equal_dim(
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     probes: list[RankProbe] = []
-    for _, probe in _probe_sweep(X, n_max, kappa, vanish_tol, node=""):
+    for _, probe in _probe_sweep(X, n_max, kappa, node=""):
         probes.append(probe)
         if probe.nullity >= 1:
             n = probe.degree
@@ -244,8 +241,6 @@ def recursive_segment(
     n_max: int,
     kappa: float = DEFAULT_KAPPA,
     delta: float = DEFAULT_DELTA,
-    membership_tol: float = DEFAULT_MEMBERSHIP_TOL,
-    vanish_tol: float = DEFAULT_VANISH_TOL,
 ) -> tuple[Segmentation, DiscoveryReport]:
     """Segment an unknown number of subspaces of unknown dimensions.
 
@@ -311,7 +306,7 @@ def recursive_segment(
         # projections can align with the arrangement and fake structure, in
         # which case probing simply continues at the next (level, degree).
         skipped = []
-        for projected, probe in _probe_sweep(local, n_max, kappa, vanish_tol, node=name):
+        for projected, probe in _probe_sweep(local, n_max, kappa, node=name):
             probes.append(probe)
             level, degree = probe.level, probe.degree
             if degree < 2 or probe.nullity < 1:
@@ -326,7 +321,7 @@ def recursive_segment(
                 for g in range(len(split.models))
             ]
             groups = [g for g in groups if g.size > 0]
-            stray = int(np.sum(split.residuals > membership_tol))
+            stray = int(np.sum(split.residuals > _MEMBERSHIP_TOL))
             if len(groups) < 2 or stray > _MAX_STRAY_FRACTION * local.shape[0]:
                 skipped.append(
                     f"l={level} i={degree}: unusable split "

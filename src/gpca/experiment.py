@@ -47,8 +47,6 @@ class ExperimentConfig:
     kappa: float = DEFAULT_KAPPA
     delta: float = DEFAULT_DELTA
     seed: int = 0
-    max_iters: int = 300
-    tol: float = 1e-9
 
     def __post_init__(self):
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
@@ -102,7 +100,7 @@ def _run_algorithm(name, X, true_models, true_labels, config, seed_seq, warm):
     n = config.n
     dims = config.dims
     iter_seed = int(seed_seq.generate_state(1)[0])
-    base_cfg = IterativeConfig(max_iters=config.max_iters, tol=config.tol, seed=iter_seed)
+    base_cfg = IterativeConfig(seed=iter_seed)
 
     def finish(seg, iterations):
         return (

@@ -33,6 +33,10 @@ __all__ = [
 # stationary correspondence with no epipolar information.
 _ZERO_MOTION_RTOL = 1e-12
 
+# Affine tracks are segmented in this many spectral dimensions: one rigid
+# motion spans at most four.
+_TRAJECTORY_DIM = 5
+
 
 @dataclass(frozen=True, eq=False)
 class EpipolarData:
@@ -92,21 +96,25 @@ def trajectory_matrix(tracks) -> np.ndarray:
     return W
 
 
-def project_trajectories(W, dim: int = 5) -> np.ndarray:
-    """Per-track coordinates in the leading right singular directions.
+def project_trajectories(W) -> np.ndarray:
+    """Per-track coordinates in the five leading right singular directions.
 
-    Returns an (N, dim) array: row j holds track j's coordinates along the
-    top singular directions (singular-value scaled, i.e. the projection of
+    Returns an (N, 5) array: row j holds track j's coordinates along the top
+    singular directions (singular-value scaled, i.e. the projection of
     column j onto the leading left singular basis). A single rigid motion
-    occupies at most four of the five default dimensions.
+    occupies at most four of the five dimensions. W needs at least 5 rows
+    (3 frames) and 5 columns (tracks).
     """
     matrix = np.asarray(W, dtype=float)
-    if matrix.shape[1] < dim:
-        raise ValueError(f"need at least {dim} tracks, got {matrix.shape[1]}")
+    if min(matrix.shape) < _TRAJECTORY_DIM:
+        raise ValueError(
+            f"need at least {_TRAJECTORY_DIM} rows and {_TRAJECTORY_DIM} tracks, "
+            f"got a {matrix.shape[0]} x {matrix.shape[1]} trajectory matrix"
+        )
     _, sv, rows = np.linalg.svd(matrix, full_matrices=False)
     if (sv > 1e-12 * sv[0]).sum() < 2:
         raise FitError("trajectory matrix is degenerate (rank below 2)")
-    return (sv[:dim, None] * rows[:dim]).T.copy()
+    return (sv[:_TRAJECTORY_DIM, None] * rows[:_TRAJECTORY_DIM]).T.copy()
 
 
 def synthetic_translations(

@@ -25,7 +25,7 @@ from .fitting import (
     select_rank,
 )
 from .polynomial import PolynomialBasis, _lifted_gradients, basis_gradients, lift_matrix
-from .veronese import monomial_count, veronese_lift
+from .veronese import veronese_lift
 
 __all__ = [
     "SubspaceModel",
@@ -54,15 +54,6 @@ _MIN_POINT_NORM = 1e-12
 # of the strongest gradient in the data: the vanishing-gradient exclusion at
 # intersections, applied at floating-point scale.
 _GRADIENT_FLOOR = 0.05
-
-# Smallest/largest singular-value ratio above which `peel` deems a peeled
-# stack to have no null space at all. `segment` does not apply it: its
-# degree-2 peel reaches 0.565 on
-# generate(ArrangementSpec(3, (2,)*4, 200, 0.01, seed=3051551997)) and 0.567
-# on generate(ArrangementSpec(3, (2,)*4, 200, 0.02, seed=2074859209)), fits
-# 24.5 and 16.6 degrees off that are still usable warm starts.
-_PEEL_NULLSPACE_RTOL = 0.5
-
 
 @dataclass(frozen=True, eq=False)
 class SubspaceModel:
@@ -249,35 +240,34 @@ def model_at_point(P: PolynomialBasis, y, kappa: float = DEFAULT_KAPPA) -> Subsp
     )
 
 
-def _peel_matrix(matrix: np.ndarray, degree: int, model: SubspaceModel) -> np.ndarray:
-    """Stack the lift-multiplied copies of a fitting matrix for every normal."""
-    blocks = [
-        lift_matrix(b, degree) @ matrix for b in model.complement_basis.T
-    ]
-    return np.hstack(blocks)
+def _peel(left: np.ndarray, sv: np.ndarray, degree: int, model: SubspaceModel):
+    """Factors of the degree-(degree-1) fitting matrix once the model is divided out.
+
+    The left factor times the singular values keeps the degree-`degree`
+    matrix's spectrum and column span; its copies times the lift of every
+    complement direction, stacked, are factored with `left_svd`.
+    """
+    compressed = left * sv
+    stack = np.hstack([lift_matrix(b, degree) @ compressed for b in model.complement_basis.T])
+    return left_svd(stack)
 
 
 def peel(
     P: PolynomialBasis,
     model: SubspaceModel,
-    embedded: EmbeddedMatrix | np.ndarray,
+    embedded: EmbeddedMatrix,
     kappa: float = DEFAULT_KAPPA,
 ) -> PolynomialBasis:
     """Divide a degree-i fitting problem by the recovered subspace.
 
-    Multiplying the embedded matrix by the lift of every complement
-    direction and stacking gives a system whose left null space holds the
-    degree-(i-1) polynomials vanishing on the remaining subspaces.
+    This is one stage of `segment`: the embedded matrix's factors, multiplied
+    by the lift of every complement direction and stacked, give a system
+    whose left null space holds the degree-(i-1) polynomials vanishing on
+    the remaining subspaces.
     """
     if P.degree < 2:
         raise ValueError("cannot peel below degree 1")
-    matrix = embedded.matrix if isinstance(embedded, EmbeddedMatrix) else np.asarray(embedded)
-    left, sv = left_svd(_peel_matrix(matrix, P.degree, model))
-    if sv.size == monomial_count(P.degree - 1, P.dim) and sv[-1] > _PEEL_NULLSPACE_RTOL * sv[0]:
-        raise FitError(
-            "empty null space after division; the subspace count is likely "
-            "wrong or the noise is too large"
-        )
+    left, sv = _peel(embedded.left_vectors, embedded.singular_values, P.degree, model)
     basis, _ = _null_space_fit(left, sv, P.degree - 1, P.dim, kappa)
     return basis
 
@@ -319,8 +309,6 @@ def segment(
     stages: list[StageRecord] = []
     for degree in range(n, 0, -1):
         try:
-            if degree < n:
-                left, sv = left_svd(fit_matrix)
             basis, decision = _null_space_fit(left, sv, degree, dim, kappa)
             if degree == n:
                 top_basis = basis
@@ -339,9 +327,7 @@ def segment(
                 )
             )
             if degree > 1:
-                # Carry the column space forward in compressed form; the left
-                # factor times the singular values preserves spectrum and span.
-                fit_matrix = _peel_matrix(left * sv, degree, model)
+                left, sv = _peel(left, sv, degree, model)
                 upper = lower
         except FitError as exc:
             if isinstance(exc, StageError):

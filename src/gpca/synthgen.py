@@ -180,7 +180,7 @@ def save_dataset(prefix, X, models, labels, spec=None):
     return csv_path, json_path
 
 
-def load_dataset(csv_path, json_path=None):
+def load_dataset(csv_path):
     """Read a dataset CSV and, if present, its ground-truth sidecar."""
     csv_path = Path(csv_path)
     try:
@@ -188,10 +188,8 @@ def load_dataset(csv_path, json_path=None):
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read point CSV {csv_path}: {exc}") from exc
     sidecar = None
-    if json_path is None:
-        candidate = csv_path.with_suffix(".json")
-        json_path = candidate if candidate.exists() else None
-    if json_path is not None:
+    json_path = csv_path.with_suffix(".json")
+    if json_path.exists():
         try:
             with open(json_path) as fh:
                 sidecar = json.load(fh)

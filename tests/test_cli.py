@@ -438,6 +438,9 @@ def _input_files(folder):
         _write_rows(paths[name], rows)
     paths["few_tracks"] = str(folder / "few_tracks.txt")
     write_tracks(paths["few_tracks"], tracks[:4])
+    for frames in (1, 2):
+        paths[f"frames_{frames}"] = str(folder / f"frames_{frames}.txt")
+        write_tracks(paths[f"frames_{frames}"], tracks[:, :frames])
     tracks[2, 1, 0] = np.nan
     paths["nan_tracks"] = str(folder / "nan_tracks.txt")
     write_tracks(paths["nan_tracks"], tracks)
@@ -479,6 +482,8 @@ class TestInputValidation:
             ["experiment", "--config", "{no_points}"],
             ["segment", "--data", "{point}", "--n", "2"],
             ["motion", "--mode", "epipolar", "--input", "{one_corr}", "--n", "2"],
+            ["motion", "--mode", "affine", "--input", "{frames_1}"],
+            ["motion", "--mode", "affine", "--input", "{frames_2}"],
         ],
     )
     def test_rejected_with_exit_2(self, argv, tmp_path, capsys):

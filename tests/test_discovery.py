@@ -56,6 +56,15 @@ class TestProject:
         assert np.array_equal(p1, p2)
         assert p1.shape == (2, 4)
 
+    def test_pca_map_keeps_its_rows_with_fewer_points_than_dims(self):
+        X = np.random.default_rng(5).standard_normal((2, 5))
+        proj, Xp = project(X, 3, kind="pca")
+        assert proj.shape == (3, 5)
+        assert np.allclose(proj @ proj.T, np.eye(3), atol=1e-12)
+        assert Xp.shape == (2, 3)
+        # the completion rows are orthogonal to the points
+        assert np.allclose(Xp[:, 2], 0.0, atol=1e-12)
+
     def test_upward_projection_rejected(self):
         X = np.zeros((10, 3))
         with pytest.raises(ValueError):

@@ -150,6 +150,12 @@ class TestProjectTrajectories:
         with pytest.raises(ValueError):
             project_trajectories(np.zeros((6, 4)))
 
+    @pytest.mark.parametrize("frames", [1, 2])
+    def test_needs_three_frames(self, frames):
+        tracks, _ = affine_scene(2, 10, frames, seed=1)
+        with pytest.raises(ValueError):
+            project_trajectories(trajectory_matrix(tracks))
+
 
 class TestFileFormats:
     def test_track_file_round_trip(self, tmp_path):

@@ -184,23 +184,20 @@ class TestPeel:
         normal = lower.coefficients[0]
         assert vector_angle(normal, models[1].complement_basis[:, 0]) < 1e-8
 
-    def test_empty_null_space_rejected(self):
-        # peeling generic full-space data has nothing left to vanish
-        rng = np.random.default_rng(4)
-        X = rng.standard_normal((150, 3))
-        em = embed(X, 2, warn=False)
-        P = vanishing_basis(em)
-        model = SubspaceModel(
-            complement_basis=np.eye(3)[:, :1], dim=2, representative=np.eye(3)[0]
-        )
-        with pytest.raises(FitError):
-            peel(P, model, em)
+    def test_peel_is_the_second_stage_of_segment(self):
+        X, _, _ = generate(ArrangementSpec(3, (2, 2, 2), 150, 0.01, seed=6))
+        seg = segment(X, 3)
+        em = embed(X, 3)
+        lower = peel(vanishing_basis(em), seg.models[0], em)
+        model = model_at_point(lower, em.points[seg.stages[1].picked_index])
+        assert model.dim == seg.models[1].dim
+        assert np.array_equal(model.complement_basis, seg.models[1].complement_basis)
 
     def test_one_svd_per_peel(self, monkeypatch):
         X, models, _ = generate(ArrangementSpec(3, (2, 2, 2), 150, 0.01, seed=5))
         em = embed(X, 3)
         P = vanishing_basis(em)
-        M, N = monomial_count(2, 3), X.shape[0]
+        M, M3 = monomial_count(2, 3), monomial_count(3, 3)
         calls = []
 
         def spy(name, fn):
@@ -214,11 +211,11 @@ class TestPeel:
         monkeypatch.setattr(np.linalg, "qr", spy("qr", np.linalg.qr))
         lower = peel(P, models[0], em)
         assert len(lower) == 1
-        # the stacked M_2 x N matrix is reduced by one QR of its transpose and
-        # never factored whole; the SVDs are of the M_2 x M_2 triangular factor
-        # and the (1, 6) independence check of the new basis
-        assert [shape for name, shape in calls if name == "qr"] == [(N, M)]
-        assert [shape for name, shape in calls if name == "svd"] == [(M, M), (1, M)]
+        # the peel stacks the compressed M_3 x M_3 factor of the embedded
+        # matrix, never its N columns: one SVD of the (6, 10) stack, too
+        # narrow for a QR, and the (1, 6) independence check of the new basis
+        assert [name for name, _ in calls].count("qr") == 0
+        assert [shape for name, shape in calls if name == "svd"] == [(M, M3), (1, M)]
 
     def test_peel_consistency_on_remaining_points(self):
         X, models, labels = generate(ArrangementSpec(3, (2, 2, 2), 150, 0.0, seed=5))
