@@ -55,11 +55,6 @@ from .motion import (
     trajectory_matrix,
 )
 from .synthgen import ArrangementSpec, angle_error, generate, generate_from_bases
-from .veronese import (
-    derivative_operator,
-    monomial_basis,
-    monomial_count,
-    veronese_lift,
-)
+from .veronese import monomial_basis, monomial_count, veronese_lift
 
 __version__ = "0.1.0"

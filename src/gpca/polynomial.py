@@ -1,7 +1,7 @@
 """Homogeneous polynomials as coefficient vectors over the canonical monomials.
 
-Supports evaluation, gradients through the constant differentiation
-matrices (never through numerical differences of the data), multiplication
+Supports evaluation, gradients read off the coefficients through
+`raise_table` (never through numerical differences of the data), multiplication
 and least-squares division by linear forms, and a plain-text round-trip
 format used by the CLI.
 """
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .veronese import derivative_operator, monomial_count, raise_table, veronese_lift
+from .veronese import monomial_basis, monomial_count, raise_table, veronese_lift
 
 __all__ = [
     "HomogeneousPolynomial",
@@ -109,14 +109,13 @@ def evaluate(p: HomogeneousPolynomial, x):
 
 
 def gradient(p: HomogeneousPolynomial, x):
-    """Gradient of p at x via the constant differentiation matrices.
+    """Gradient of p at x from its differentiated coefficients.
 
     Returns (D,) for a single point or (N, D) for a batch. The data itself is
     never differenced; only the lift of degree n-1 is evaluated.
     """
-    rows = _derivative_rows(p.degree, p.dim, p.coefficients[None, :])[:, 0, :]
-    lifted = veronese_lift(x, p.degree - 1)
-    return lifted @ rows.T
+    rows = _derivative_rows(p.degree, p.dim, p.coefficients[None, :])[:, :, 0]
+    return veronese_lift(x, p.degree - 1) @ rows
 
 
 def basis_gradients(P: PolynomialBasis, x):
@@ -130,16 +129,17 @@ def basis_gradients(P: PolynomialBasis, x):
 def _lifted_gradients(P: PolynomialBasis, lifted: np.ndarray) -> np.ndarray:
     """basis_gradients from the degree-(n-1) lift of the points."""
     rows = _derivative_rows(P.degree, P.dim, P.coefficients)
-    if lifted.ndim == 1:
-        return np.einsum("kmj,j->km", rows, lifted)
-    return np.einsum("kmj,nj->nkm", rows, lifted)
+    grads = lifted @ rows.reshape(rows.shape[0], -1)
+    return grads.reshape(lifted.shape[:-1] + rows.shape[1:])
 
 
 def _derivative_rows(degree: int, dim: int, coeff_matrix: np.ndarray) -> np.ndarray:
-    """(D, m, M_{n-1}) tensor of per-axis differentiated coefficient rows."""
-    return np.stack(
-        [coeff_matrix @ derivative_operator(degree, axis, dim) for axis in range(dim)]
-    )
+    """(M_{n-1}, D, m) tensor: entry (f, v, i) is d(polynomial i)/dx_v's coefficient of f.
+
+    Monomial f of degree n-1 times x_v differentiates back to (e_v + 1) * f.
+    """
+    lower = monomial_basis(degree - 1, dim)
+    return coeff_matrix.T[raise_table(degree, dim)] * (lower + 1.0)[:, :, None]
 
 
 def lift_matrix(b, degree: int) -> np.ndarray:

@@ -24,8 +24,8 @@ from .fitting import (
     embed,
     select_rank,
 )
-from .polynomial import PolynomialBasis, _lifted_gradients, basis_gradients, lift_matrix
-from .veronese import veronese_lift
+from .polynomial import PolynomialBasis, _lifted_gradients, basis_gradients
+from .veronese import raise_table, veronese_lift
 
 __all__ = [
     "SubspaceModel",
@@ -244,12 +244,13 @@ def _peel(left: np.ndarray, sv: np.ndarray, degree: int, model: SubspaceModel):
     """Factors of the degree-(degree-1) fitting matrix once the model is divided out.
 
     The left factor times the singular values keeps the degree-`degree`
-    matrix's spectrum and column span; its copies times the lift of every
-    complement direction, stacked, are factored with `left_svd`.
+    matrix's spectrum and column span. Its product with the lift of a
+    complement direction b has row f = sum_v b_v * (row of f * x_v); these
+    blocks, side by side in complement-basis order, are factored with `left_svd`.
     """
-    compressed = left * sv
-    stack = np.hstack([lift_matrix(b, degree) @ compressed for b in model.complement_basis.T])
-    return left_svd(stack)
+    raised = (left * sv)[raise_table(degree, model.ambient_dim)]
+    blocks = model.complement_basis.T @ raised
+    return left_svd(blocks.reshape(blocks.shape[0], -1))
 
 
 def peel(

@@ -6,13 +6,15 @@ most significant. For degree 2 in three variables the order is
 
     x1^2, x1*x2, x1*x3, x2^2, x2*x3, x3^2
 
-and coefficient vectors, embedded data matrices, and the constant
-differentiation matrices all use positions in this order.
+and coefficient vectors and embedded data matrices use positions in this
+order.
 
-A lift raises each coordinate once to the powers it carries (the power
-table) and multiplies the per-variable powers in variable order. One index
-table, (degree-(n-1) monomial, variable) -> position of the raised monomial,
-builds the differentiation and the multiplication-by-a-linear-form matrices.
+In this order the degree-k monomials led by x_v are x_v times the last
+monomial_count(k - 1, D - v) monomials of degree k - 1, those in x_v..x_D.
+A lift therefore builds each degree from the one below as D column-scaled
+tail blocks. One index table, (degree-(n-1) monomial, variable) -> position
+of the raised monomial, carries differentiation and multiplication by a
+linear form.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "monomial_position",
     "veronese_lift",
     "raise_table",
-    "derivative_operator",
 ]
 
 
@@ -86,20 +87,13 @@ def veronese_lift(x, degree: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
-    exps = monomial_basis(degree, pts.shape[1])
-    # Power table (D, 1 + len(carried), N) with x ** 0 == 1 in row 0. numpy
-    # squares exactly when 2 is a lone broadcast exponent but uses its SIMD pow
-    # inside an exponent array, so raising to the exponents the basis carries
-    # (just n when D == 1) rounds each x_v ** e_v as a per-variable loop does.
-    carried = np.unique(exps[exps > 0])
-    table = np.ones((pts.shape[1], carried.size + 1, pts.shape[0]))
-    table[:, 1:, :] = (pts[:, :, None] ** carried).transpose(1, 2, 0)
-    rows = np.searchsorted(carried, exps) + (exps > 0)
-    lifted = np.ones((exps.shape[0], pts.shape[0]))
-    for var in range(pts.shape[1]):
-        lifted *= table[var][rows[:, var]]
-    out = np.ascontiguousarray(lifted.T)
-    return out[0] if single else out
+    dim = pts.shape[1]
+    monomial_count(degree, dim)  # rejects degree < 0 and points without coordinates
+    lifted = np.ones((pts.shape[0], 1))
+    for k in range(1, degree + 1):
+        tails = [lifted[:, -monomial_count(k - 1, dim - v) :] for v in range(dim)]
+        lifted = np.hstack([pts[:, v : v + 1] * tail for v, tail in enumerate(tails)])
+    return lifted[0] if single else lifted
 
 
 @lru_cache(maxsize=None)
@@ -110,25 +104,3 @@ def raise_table(degree: int, dim: int) -> np.ndarray:
     table = np.array([[positions[tuple(e)] for e in row] for row in raised.tolist()])
     table.flags.writeable = False
     return table
-
-
-@lru_cache(maxsize=None)
-def derivative_operator(degree: int, axis: int, dim: int) -> np.ndarray:
-    """Constant (M_n, M_{n-1}) matrix realizing d/dx_axis on degree-n lifts.
-
-    For every x: d(veronese_lift(x, degree))/dx_axis == matrix @ veronese_lift(x, degree - 1).
-    Each row has at most one nonzero entry, the exponent of x_axis in that
-    row's monomial; `axis` is 0-based. The read-only matrix is cached per
-    (degree, axis, dim) since it is reused for every gradient evaluation.
-    For degree 1 the lower lift is the scalar 1.
-    """
-    if not 0 <= axis < dim:
-        raise ValueError(f"axis {axis} out of range for dim {dim}")
-    if degree < 1:
-        raise ValueError("differentiation needs degree >= 1")
-    # Monomial f of degree n-1 times x_axis differentiates back to (e_axis + 1) * f.
-    lower = monomial_basis(degree - 1, dim)
-    mat = np.zeros((monomial_count(degree, dim), lower.shape[0]))
-    mat[raise_table(degree, dim)[:, axis], np.arange(lower.shape[0])] = lower[:, axis] + 1.0
-    mat.flags.writeable = False
-    return mat

@@ -27,11 +27,17 @@ from gpca.experiment import ExperimentConfig, mean_error, mean_iterations, run_e
 from gpca.fitting import embed, fit_vanishing, select_rank, vanishing_basis
 from gpca.metrics import matched_accuracy
 from gpca.motion import epipolar_lines, synthetic_translations
-from gpca.polynomial import HomogeneousPolynomial, divide_by_linear, multiply_by_linear
+from gpca.polynomial import (
+    HomogeneousPolynomial,
+    PolynomialBasis,
+    basis_gradients,
+    divide_by_linear,
+    multiply_by_linear,
+)
 from gpca.segmentation import algebraic_distance2, segment
 from gpca.synthgen import ArrangementSpec, generate
 from gpca.synthgen import _random_subspace_bases
-from gpca.veronese import derivative_operator, monomial_count, veronese_lift
+from gpca.veronese import monomial_count, veronese_lift
 
 FOCAL = 500.0
 
@@ -307,15 +313,11 @@ class TestPropertySuites:
             lhs = veronese_lift(lam * x, degree)
             rhs = lam**degree * veronese_lift(x, degree)
             ok &= bool(np.allclose(lhs, rhs, rtol=1e-12, atol=1e-13))
-            c = rng.standard_normal(monomial_count(degree, dim))
-            lower = veronese_lift(x, degree - 1)
-            total = sum(
-                x[k] * (c @ derivative_operator(degree, k, dim) @ lower)
-                for k in range(dim)
+            P = PolynomialBasis(
+                degree, dim, rng.standard_normal((2, monomial_count(degree, dim)))
             )
-            ok &= bool(
-                np.isclose(total, degree * (c @ veronese_lift(x, degree)), rtol=1e-10)
-            )
+            total = x @ basis_gradients(P, x)
+            ok &= bool(np.allclose(total, degree * P.evaluate(x), rtol=1e-10))
         report("property: lift homogeneity and Euler identity", ok)
 
     def test_derivative_operators_match_finite_differences(self):
@@ -324,21 +326,22 @@ class TestPropertySuites:
         worst = 0.0
         for degree, dim in [(2, 3), (3, 3), (4, 2)]:
             x = rng.uniform(-1, 1, size=dim)
-            lower = veronese_lift(x, degree - 1)
+            P = PolynomialBasis(
+                degree, dim, rng.standard_normal((2, monomial_count(degree, dim)))
+            )
+            grads = basis_gradients(P, x)
             for axis in range(dim):
                 delta = np.zeros(dim)
                 delta[axis] = step
-                numeric = (
-                    veronese_lift(x + delta, degree) - veronese_lift(x - delta, degree)
-                ) / (2 * step)
-                analytic = derivative_operator(degree, axis, dim) @ lower
+                numeric = (P.evaluate(x + delta) - P.evaluate(x - delta)) / (2 * step)
+                analytic = grads[axis]
                 worst = max(
                     worst,
                     np.linalg.norm(numeric - analytic)
                     / max(np.linalg.norm(numeric), 1.0),
                 )
         report(
-            "property: differentiation matrices vs central differences",
+            "property: basis gradients vs central differences",
             worst <= 1e-6,
             f"worst {worst:.1e}",
         )

@@ -12,12 +12,14 @@ from util import (
     product_basis,
 )
 
-from gpca._linalg import max_principal_angle, orthonormal_completion, vector_angle
+from gpca._linalg import left_svd, max_principal_angle, orthonormal_completion, vector_angle
 from gpca.errors import FitError, StageError
 from gpca.fitting import embed, vanishing_basis
 from gpca.metrics import matched_accuracy
+from gpca.polynomial import lift_matrix
 from gpca.segmentation import (
     SubspaceModel,
+    _peel,
     algebraic_distance2,
     assign,
     model_at_point,
@@ -216,6 +218,28 @@ class TestPeel:
         # narrow for a QR, and the (1, 6) independence check of the new basis
         assert [name for name, _ in calls].count("qr") == 0
         assert [shape for name, shape in calls if name == "svd"] == [(M, M3), (1, M)]
+
+    def test_peel_stack_is_the_lift_matrix_stack(self, monkeypatch):
+        # complement ranks 4, 3 and 2: the stack has one block per complement
+        # direction, in the order of the complement basis
+        X, models, _ = generate(ArrangementSpec(5, (1, 2, 3), 60, 0.0, seed=2))
+        em = embed(X, 3)
+        compressed = em.left_vectors * em.singular_values
+        stacks = []
+
+        def spy(matrix):
+            stacks.append(matrix)
+            return left_svd(matrix)
+
+        monkeypatch.setattr("gpca.segmentation.left_svd", spy)
+        for model in models:
+            _peel(em.left_vectors, em.singular_values, 3, model)
+            B = model.complement_basis
+            expected = np.hstack([lift_matrix(b, 3) @ compressed for b in B.T])
+            assert stacks[-1].shape == expected.shape
+            scale = np.abs(expected).max()
+            assert np.allclose(stacks[-1], expected, rtol=0.0, atol=1e-13 * scale)
+        assert [model.complement_basis.shape[1] for model in models] == [4, 3, 2]
 
     def test_peel_consistency_on_remaining_points(self):
         X, models, labels = generate(ArrangementSpec(3, (2, 2, 2), 150, 0.0, seed=5))

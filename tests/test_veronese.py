@@ -1,14 +1,15 @@
-"""Monomial enumeration, the polynomial embedding, and differentiation matrices."""
+"""Monomial enumeration, the polynomial embedding, and differentiation."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpca.polynomial import PolynomialBasis, basis_gradients
 from gpca.veronese import (
-    derivative_operator,
     monomial_basis,
     monomial_count,
     monomial_position,
@@ -29,19 +30,45 @@ def brute_force_exponents(degree, dim):
     )
 
 
-def reference_lift(x, degree):
-    """Oracle: the per-variable power loop, x_v ** e_v multiplied in variable order."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    exps = monomial_basis(degree, pts.shape[1])
-    out = np.ones((pts.shape[0], exps.shape[0]))
-    for var in range(pts.shape[1]):
-        col = exps[:, var]
-        active = col > 0
-        if active.any():
-            out[:, active] *= pts[:, var][:, None] ** col[active][None, :]
-    return out[0] if single else out
+def exact_lift(x, degree):
+    """Oracle: every monomial as the exact rational product of the float inputs.
+
+    Returns object arrays of the integer numerators and the (power-of-two)
+    denominators, shaped (N, M), of x^e over monomial_basis(degree, D).
+    """
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    exps = monomial_basis(degree, pts.shape[1]).astype(object)
+    ratios = [[Fraction(v) for v in row] for row in pts.tolist()]
+    num = np.array([[r.numerator for r in row] for row in ratios], dtype=object)
+    den = np.array([[r.denominator for r in row] for row in ratios], dtype=object)
+    return (
+        np.prod(num[:, None, :] ** exps, axis=2),
+        np.prod(den[:, None, :] ** exps, axis=2),
+    )
+
+
+def assert_within_product_rounding(actual, x, degree):
+    """Each entry within (degree - 1) * u of the exact product, zeros signed as products.
+
+    A product of n floats rounded n - 1 times, without underflow, is off by at
+    most (n - 1) * u relative, u = 2**-53 (Rump, Bunger and Jeannerod, BIT
+    2016). Rounding never changes a sign, and a zero's sign is the parity of
+    the negative factors whatever the order of multiplication.
+    """
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    actual = np.atleast_2d(actual)
+    num, den = exact_lift(pts, degree)
+    assert actual.shape == num.shape
+    ratios = np.array([float(v).as_integer_ratio() for v in actual.ravel()], dtype=object)
+    a_num = ratios[:, 0].reshape(actual.shape)
+    a_den = ratios[:, 1].reshape(actual.shape)
+    # |a - num/den| <= (n - 1) u |num/den|, with both sides times den * a_den * 2**53.
+    error = abs(a_num * den - num * a_den) * 2**53
+    bound = max(degree - 1, 0) * abs(num) * a_den
+    assert np.all(error <= bound)
+    negative = (monomial_basis(degree, pts.shape[1]) @ np.signbit(pts).T.astype(int)) % 2
+    zeros = num == 0
+    assert np.array_equal(np.signbit(actual)[zeros], negative.T[zeros].astype(bool))
 
 
 def reference_derivative_matrix(degree, axis, dim):
@@ -58,13 +85,6 @@ def reference_derivative_matrix(degree, axis, dim):
         lowered[axis] -= 1
         mat[position, lower_positions[tuple(lowered)]] = float(e)
     return mat
-
-
-def assert_identical(actual, expected):
-    """Same shape, same values and the same sign on every zero."""
-    assert actual.shape == expected.shape
-    assert np.array_equal(actual, expected)
-    assert np.array_equal(np.signbit(actual), np.signbit(expected))
 
 
 def mixed_scale_points(rng, count, dim):
@@ -154,9 +174,19 @@ class TestVeroneseLift:
             rhs = lam**degree * veronese_lift(x, degree)
             assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
 
+    def test_invalid_degree_and_empty_points_rejected(self):
+        with pytest.raises(ValueError):
+            veronese_lift(np.ones((3, 2)), -1)
+        with pytest.raises(ValueError):
+            veronese_lift(np.ones((3, 0)), 0)
+
 
 class TestLiftOracle:
-    """The power-table lift is bit-identical to the per-variable power loop."""
+    """The lift is within (n - 1) * u of the exact product of its float inputs.
+
+    The test names predate this oracle: the lift was once bit-identical to a
+    per-variable power loop, a bound that the tail-block recursion gives up.
+    """
 
     @pytest.mark.parametrize("dim", range(1, 7))
     @pytest.mark.parametrize("degree", range(0, 7))
@@ -164,20 +194,21 @@ class TestLiftOracle:
         rng = np.random.default_rng(100 * degree + dim)
         for count in (2, 3, 9, 40, 400):
             X = mixed_scale_points(rng, count, dim)
-            assert_identical(veronese_lift(X, degree), reference_lift(X, degree))
+            assert_within_product_rounding(veronese_lift(X, degree), X, degree)
 
     @pytest.mark.parametrize("dim", range(1, 7))
     @pytest.mark.parametrize("degree", range(0, 7))
     def test_single_points_match_bit_for_bit(self, degree, dim):
         rng = np.random.default_rng(1000 + 100 * degree + dim)
-        for x in mixed_scale_points(rng, 6, dim):
-            assert_identical(veronese_lift(x, degree), reference_lift(x, degree))
-        assert_identical(veronese_lift(np.zeros(dim), degree), reference_lift(np.zeros(dim), degree))
+        for x in [*mixed_scale_points(rng, 6, dim), np.zeros(dim)]:
+            lifted = veronese_lift(x, degree)
+            assert lifted.shape == (monomial_count(degree, dim),)
+            assert_within_product_rounding(lifted, x, degree)
 
     def test_non_contiguous_input(self):
         X = np.asfortranarray(mixed_scale_points(np.random.default_rng(4), 30, 5))
-        assert_identical(veronese_lift(X, 4), reference_lift(X, 4))
-        assert_identical(veronese_lift(X[::2, 1:], 3), reference_lift(X[::2, 1:], 3))
+        assert_within_product_rounding(veronese_lift(X, 4), X, 4)
+        assert_within_product_rounding(veronese_lift(X[::2, 1:], 3), X[::2, 1:], 3)
 
 
 class TestRaiseTable:
@@ -197,75 +228,77 @@ class TestRaiseTable:
             raise_table(0, 3)
 
 
+def monomial_gradients(X, degree):
+    """basis_gradients of the basis of all degree-n monomials, (N, D, M_n)."""
+    dim = np.shape(X)[-1]
+    return basis_gradients(PolynomialBasis(degree, dim, np.eye(monomial_count(degree, dim))), X)
+
+
 class TestDerivativeOperator:
+    """Differentiation on Veronese coordinates, as basis_gradients computes it."""
+
     @pytest.mark.parametrize("dim", range(1, 7))
     @pytest.mark.parametrize("degree", range(1, 7))
     def test_matches_lookup_oracle(self, degree, dim):
+        # Each monomial's partial derivative is one term, so both sides are exact.
+        X = mixed_scale_points(np.random.default_rng(10 * degree + dim), 20, dim)
+        grads = monomial_gradients(X, degree)
+        lower = veronese_lift(X, degree - 1)
         for axis in range(dim):
-            assert_identical(
-                derivative_operator(degree, axis, dim),
-                reference_derivative_matrix(degree, axis, dim),
-            )
+            expected = lower @ reference_derivative_matrix(degree, axis, dim).T
+            assert np.array_equal(grads[:, axis, :], expected)
 
     def test_degree_two_first_variable(self):
-        mat = derivative_operator(2, 0, 3)
-        expected = np.array(
-            [[2, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0], [0, 0, 0]],
-            dtype=float,
-        )
-        assert np.array_equal(mat, expected)
+        a, b, c = 2.0, 3.0, 5.0
+        grads = monomial_gradients(np.array([a, b, c]), 2)
+        assert np.array_equal(grads[0], [2 * a, b, c, 0, 0, 0])
 
     def test_degree_two_third_variable(self):
-        mat = derivative_operator(2, 2, 3)
-        expected = np.array(
-            [[0, 0, 0], [0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 1, 0], [0, 0, 2]],
-            dtype=float,
-        )
-        assert np.array_equal(mat, expected)
+        a, b, c = 2.0, 3.0, 5.0
+        grads = monomial_gradients(np.array([a, b, c]), 2)
+        assert np.array_equal(grads[2], [0, 0, a, 0, b, 2 * c])
 
     @pytest.mark.parametrize("axis", [0, 1, 2, 3])
     def test_degree_one_rows_are_kronecker_deltas(self, axis):
-        mat = derivative_operator(1, axis, 4)
-        assert mat.shape == (4, 1)
-        assert np.array_equal(mat[:, 0], np.eye(4)[axis])
+        # a degree-1 basis has its coefficients as gradients at every point
+        rng = np.random.default_rng(axis)
+        coeffs = np.vstack([np.eye(4)[axis], rng.standard_normal(4)])
+        P = PolynomialBasis(1, 4, coeffs)
+        for x in rng.standard_normal((3, 4)):
+            assert np.array_equal(basis_gradients(P, x), coeffs.T)
+        grads = basis_gradients(P, rng.standard_normal((5, 4)))
+        assert np.array_equal(grads, np.broadcast_to(coeffs.T, (5, 4, 2)))
 
     def test_row_structure_single_nonzero(self):
         for degree, dim in [(2, 3), (3, 2), (4, 3)]:
-            for axis in range(dim):
-                mat = derivative_operator(degree, axis, dim)
-                assert np.all((mat != 0).sum(axis=1) <= 1)
-                assert np.array_equal(mat.sum(axis=1), monomial_basis(degree, dim)[:, axis])
+            exps = monomial_basis(degree, dim)
+            # at the all-ones point every monomial's gradient is its exponent row
+            assert np.array_equal(monomial_gradients(np.ones(dim), degree), exps.T)
+            # x_v * d(x^e)/dx_v == e_v * x^e: each partial derivative is one term
+            x = np.random.default_rng(degree).uniform(0.5, 2.0, dim)
+            grads = monomial_gradients(x, degree)
+            expected = exps.T * veronese_lift(x, degree)
+            assert np.allclose(x[:, None] * grads, expected, rtol=1e-14, atol=0.0)
 
     def test_finite_difference_agreement(self):
         rng = np.random.default_rng(2)
         h = 1e-6
         for degree, dim in [(2, 3), (3, 3), (4, 2), (3, 5)]:
             x = rng.uniform(-1.0, 1.0, size=dim)
-            lower = veronese_lift(x, degree - 1)
+            P = PolynomialBasis(degree, dim, rng.standard_normal((2, monomial_count(degree, dim))))
+            grads = basis_gradients(P, x)
             for axis in range(dim):
                 step = np.zeros(dim)
                 step[axis] = h
-                numeric = (veronese_lift(x + step, degree) - veronese_lift(x - step, degree)) / (2 * h)
-                analytic = derivative_operator(degree, axis, dim) @ lower
+                numeric = (P.evaluate(x + step) - P.evaluate(x - step)) / (2 * h)
                 scale = max(np.linalg.norm(numeric), 1.0)
-                assert np.linalg.norm(numeric - analytic) <= 1e-6 * scale
+                assert np.linalg.norm(numeric - grads[axis]) <= 1e-6 * scale
 
     def test_euler_identity(self):
         # gradients contracted with the point recover degree times the value
         rng = np.random.default_rng(3)
         for degree, dim in [(2, 3), (3, 4), (5, 2)]:
             x = rng.standard_normal(dim)
-            c = rng.standard_normal(monomial_count(degree, dim))
-            lower = veronese_lift(x, degree - 1)
-            total = sum(
-                x[k] * (c @ derivative_operator(degree, k, dim) @ lower)
-                for k in range(dim)
-            )
-            assert np.isclose(total, degree * (c @ veronese_lift(x, degree)), rtol=1e-10)
-
-    def test_cached_instances_are_reused_and_readonly(self):
-        a = derivative_operator(3, 1, 3)
-        b = derivative_operator(3, 1, 3)
-        assert a is b
-        with pytest.raises(ValueError):
-            a[0, 0] = 99.0
+            P = PolynomialBasis(degree, dim, rng.standard_normal((2, monomial_count(degree, dim))))
+            total = x @ basis_gradients(P, x)
+            assert np.allclose(total, degree * P.evaluate(x), rtol=1e-10)
