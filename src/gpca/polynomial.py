@@ -123,11 +123,7 @@ def basis_gradients(P: PolynomialBasis, x):
 
     Returns (D, m) for a single point x, or (N, D, m) for an (N, D) batch.
     """
-    return _lifted_gradients(P, veronese_lift(x, P.degree - 1))
-
-
-def _lifted_gradients(P: PolynomialBasis, lifted: np.ndarray) -> np.ndarray:
-    """basis_gradients from the degree-(n-1) lift of the points."""
+    lifted = veronese_lift(x, P.degree - 1)
     rows = _derivative_rows(P.degree, P.dim, P.coefficients)
     grads = lifted @ rows.reshape(rows.shape[0], -1)
     return grads.reshape(lifted.shape[:-1] + rows.shape[1:])

@@ -1,11 +1,14 @@
 """Segmenting a known number of subspaces by differentiating and dividing.
 
 The pipeline per degree stage: fit the vanishing polynomials, pick the data
-point closest to the arrangement by a first-order distance, read the
-subspace's complement off the polynomial gradients at that point, then
-divide the fitted polynomials by the recovered linear forms to remove the
-subspace and repeat one degree lower. Labels come last, by smallest
-residual against the recovered complements.
+point closest to the arrangement by a first-order distance (`select_point`),
+read the subspace's complement off the polynomial gradients at that point
+(`model_at_point`), then divide the fitted polynomials by the recovered
+linear forms to remove the subspace and repeat one degree lower. Labels
+come last, by smallest residual against the recovered complements.
+
+Each stage lifts the points once, to degree n-1: the gradients give the
+values too, by Euler's identity. Distances at rounding level are exactly 0.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from .fitting import (
     embed,
     select_rank,
 )
-from .polynomial import PolynomialBasis, _lifted_gradients, basis_gradients
-from .veronese import raise_table, veronese_lift
+from .polynomial import PolynomialBasis, basis_gradients
+from .veronese import raise_table
 
 __all__ = [
     "SubspaceModel",
@@ -123,20 +126,25 @@ class Segmentation:
 
 
 def _values_and_gradients(P: PolynomialBasis, X):
-    """Basis values (N, m) and gradients (N, D, m) at a batch of points."""
+    """Basis values (N, m) and gradients (N, D, m) at a batch of points.
+
+    The values come from the gradients by Euler's identity for homogeneous
+    degree-n polynomials, x . grad p(x) = n p(x), so only the degree-(n-1)
+    lift is built.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    values = P.evaluate(X)
     grads = basis_gradients(P, X)
-    return values, grads
+    return np.einsum("nd,ndm->nm", X, grads) / P.degree, grads
 
 
-def algebraic_distance2(P: PolynomialBasis, x, kappa: float = DEFAULT_KAPPA):
+def algebraic_distance2(P: PolynomialBasis, x):
     """First-order squared distance from x to the zero set of the basis.
 
     Computed as values @ pinv(gradients^T gradients) @ values^T, scaled by
     1/degree^2 so that degree * sqrt of the result approximates the
     Euclidean distance to the nearest subspace. Points where the gradient
-    matrix vanishes (intersections, the origin) get +inf.
+    matrix vanishes (intersections, the origin) get +inf, and distances at
+    rounding level relative to ||x|| are exactly 0.
 
     The pseudo-inverse is truncated at the penalized-criterion rank of the
     gradient spectrum, not just at the absolute floor: when the basis holds
@@ -145,34 +153,40 @@ def algebraic_distance2(P: PolynomialBasis, x, kappa: float = DEFAULT_KAPPA):
     ratios are O(1) noise and would swamp the distance.
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    d2 = _distance2(P.degree, *_values_and_gradients(P, x), kappa)
-    return float(d2[0]) if single else d2
+    d2, _ = _distance2(P, np.atleast_2d(x))
+    return float(d2[0]) if x.ndim == 1 else d2
 
 
-def _distance2(degree: int, values, grads, kappa: float) -> np.ndarray:
-    """algebraic_distance2 from basis values (N, m) and gradients (N, D, m)."""
+def _distance2(P: PolynomialBasis, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """algebraic_distance2 at (N, D) points, and the basis gradients (N, D, m) there."""
+    values, grads = _values_and_gradients(P, X)
     _, sv, rows = np.linalg.svd(grads, full_matrices=False)
     top = sv[:, 0]
     safe_top = np.where(top > 0.0, top, 1.0)
     # Per-point truncation scale: spurious directions shrink with the distance
     # itself, so the penalty floor is raised to the squared evident
     # displacement scale (degree * ||values|| / leading singular value).
-    scale = _TRUNCATION_MARGIN * degree * np.linalg.norm(values, axis=1) / safe_top
-    kappa_eff = np.maximum(kappa, scale**2)
+    scale = _TRUNCATION_MARGIN * P.degree * np.linalg.norm(values, axis=1) / safe_top
+    kappa_eff = np.maximum(DEFAULT_KAPPA, scale**2)
     ranks, _ = _rank_criterion(sv, kappa_eff, sv.shape[1])
     keep = np.arange(sv.shape[1]) < ranks[:, None]
     keep &= sv > PINV_RTOL * sv[:, :1]
     proj = np.einsum("nkm,nm->nk", rows, values)
     safe_sv = np.where(keep & (sv > 0.0), sv, 1.0)
     terms = np.where(keep, (proj / safe_sv) ** 2, 0.0)
-    d2 = terms.sum(axis=1) / float(degree) ** 2
-    return np.where(top > 0.0, d2, np.inf)
+    d2 = terms.sum(axis=1) / float(P.degree) ** 2
+    d2 = np.where(d2 > _ROUNDING_D2 * np.einsum("nd,nd->n", X, X), d2, 0.0)
+    return np.where(top > 0.0, d2, np.inf), grads
 
 
 # Headroom factor between the evident displacement scale and the smallest
 # singular value treated as a genuine complement direction.
 _TRUNCATION_MARGIN = 20.0
+
+# Squared distances at or below this fraction of ||x||^2 (a relative distance
+# of 1e-12) are rounding and count as 0, so exact data ties at zero at any
+# scale and select_point's ties go to the lowest index, not to rounding.
+_ROUNDING_D2 = 1e-24
 
 
 def select_point(
@@ -189,12 +203,7 @@ def select_point(
     onto a subspace not yet seen. Ties resolve to the lowest index.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return _pick_point(X, P.degree, *_values_and_gradients(P, X), already_found, delta)
-
-
-def _pick_point(X, degree, values, grads, already_found, delta) -> int:
-    """select_point from the basis values and gradients at X."""
-    d2 = _distance2(degree, values, grads, DEFAULT_KAPPA)
+    d2, grads = _distance2(P, X)
     grad_norm = np.linalg.norm(grads, axis=(1, 2))
     valid = (
         np.isfinite(d2)
@@ -253,12 +262,7 @@ def _peel(left: np.ndarray, sv: np.ndarray, degree: int, model: SubspaceModel):
     return left_svd(blocks.reshape(blocks.shape[0], -1))
 
 
-def peel(
-    P: PolynomialBasis,
-    model: SubspaceModel,
-    embedded: EmbeddedMatrix,
-    kappa: float = DEFAULT_KAPPA,
-) -> PolynomialBasis:
+def peel(P: PolynomialBasis, model: SubspaceModel, embedded: EmbeddedMatrix) -> PolynomialBasis:
     """Divide a degree-i fitting problem by the recovered subspace.
 
     This is one stage of `segment`: the embedded matrix's factors, multiplied
@@ -266,10 +270,12 @@ def peel(
     whose left null space holds the degree-(i-1) polynomials vanishing on
     the remaining subspaces.
     """
+    if (P.degree, P.dim, model.ambient_dim) != (embedded.degree, embedded.dim, embedded.dim):
+        raise ValueError("the basis and the model must match the embedding's degree and dim")
     if P.degree < 2:
         raise ValueError("cannot peel below degree 1")
     left, sv = _peel(embedded.left_vectors, embedded.singular_values, P.degree, model)
-    basis, _ = _null_space_fit(left, sv, P.degree - 1, P.dim, kappa)
+    basis, _ = _null_space_fit(left, sv, P.degree - 1, P.dim, DEFAULT_KAPPA)
     return basis
 
 
@@ -293,8 +299,9 @@ def segment(
 ) -> Segmentation:
     """Segment a union of n subspaces from unlabeled points.
 
-    Runs the descending-degree loop: fit vanishing polynomials, select one
-    representative point, differentiate to get that subspace's complement,
+    Runs the descending-degree loop on the unit-norm points: fit vanishing
+    polynomials, pick one representative point with `select_point`, read
+    that subspace's complement off the gradients with `model_at_point`,
     peel the subspace off by polynomial division, and finally assign every
     point to its nearest recovered subspace.
     """
@@ -303,9 +310,7 @@ def segment(
         raise ValueError("need n >= 1 subspaces")
     embedded = embed(X, n)
     points, dim = embedded.points, embedded.dim
-    # The top stage reuses embed's lift and SVD. Each stage lifts the points one
-    # degree lower for its gradients; the next stage takes its values from it.
-    upper, left, sv = embedded.matrix.T, embedded.left_vectors, embedded.singular_values
+    left, sv = embedded.left_vectors, embedded.singular_values
     models: list[SubspaceModel] = []
     stages: list[StageRecord] = []
     for degree in range(n, 0, -1):
@@ -313,10 +318,7 @@ def segment(
             basis, decision = _null_space_fit(left, sv, degree, dim, kappa)
             if degree == n:
                 top_basis = basis
-            lower = veronese_lift(points, degree - 1)
-            values = upper @ basis.coefficients.T
-            grads = _lifted_gradients(basis, lower)
-            idx = _pick_point(points, degree, values, grads, tuple(models), delta)
+            idx = select_point(basis, points, tuple(models), delta)
             model = model_at_point(basis, points[idx], kappa)
             models.append(model)
             stages.append(
@@ -329,7 +331,6 @@ def segment(
             )
             if degree > 1:
                 left, sv = _peel(left, sv, degree, model)
-                upper = lower
         except FitError as exc:
             if isinstance(exc, StageError):
                 raise
@@ -366,9 +367,6 @@ def reject_outliers(
     X = np.atleast_2d(np.asarray(X, dtype=float))
     d2 = algebraic_distance2(P, X)
     d2 = np.where(np.isfinite(d2), d2, 0.0)
-    # Distances at numerical-noise scale are exact zeros for thresholding:
-    # noiseless on-arrangement data must never lose points.
-    d2 = np.where(d2 > 1e-24, d2, 0.0)
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
     if mode == "percentile":

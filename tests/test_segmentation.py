@@ -16,10 +16,11 @@ from gpca._linalg import left_svd, max_principal_angle, orthonormal_completion, 
 from gpca.errors import FitError, StageError
 from gpca.fitting import embed, vanishing_basis
 from gpca.metrics import matched_accuracy
-from gpca.polynomial import lift_matrix
+from gpca.polynomial import PolynomialBasis, lift_matrix
 from gpca.segmentation import (
     SubspaceModel,
     _peel,
+    _values_and_gradients,
     algebraic_distance2,
     assign,
     model_at_point,
@@ -115,6 +116,32 @@ class TestAlgebraicDistance:
         batch = algebraic_distance2(P, X)
         for j in range(6):
             assert batch[j] == pytest.approx(algebraic_distance2(P, X[j]), rel=1e-12)
+
+    def test_euler_values_match_evaluate(self):
+        # x . grad p(x) = n p(x): the values read off the gradients agree with
+        # the degree-n lift to rounding, for one point and for a batch
+        rng = np.random.default_rng(4)
+        bases = [
+            PolynomialBasis(degree, dim, rng.standard_normal((2, monomial_count(degree, dim))))
+            for degree, dim in [(1, 3), (2, 3), (3, 4), (4, 5)]
+        ]
+        X, _, _ = generate(ArrangementSpec(5, (1, 2, 3), 60, 0.01, seed=4))
+        bases.append(vanishing_basis(embed(X, 3)))
+        for P in bases:
+            points = rng.standard_normal((7, P.dim))
+            for x in (points, points[0]):
+                values, grads = _values_and_gradients(P, x)
+                expected = np.atleast_2d(P.evaluate(x))
+                assert values.shape == expected.shape
+                assert grads.shape == expected.shape[:1] + (P.dim, len(P))
+                scale = np.linalg.norm(P.coefficients) * np.linalg.norm(x) ** P.degree
+                assert np.abs(values - expected).max() <= 1e-13 * scale
+
+    def test_exact_points_are_zero_at_any_scale(self):
+        X, _, _ = generate(ArrangementSpec(3, (2, 2), 50, 0.0, seed=7))
+        P = vanishing_basis(embed(X, 2))
+        for scale in (1e-6, 1.0, 1e6):
+            assert np.all(algebraic_distance2(P, X * scale) == 0.0)
 
 
 class TestSelectPoint:
@@ -241,6 +268,21 @@ class TestPeel:
             assert np.allclose(stacks[-1], expected, rtol=0.0, atol=1e-13 * scale)
         assert [model.complement_basis.shape[1] for model in models] == [4, 3, 2]
 
+    def test_mismatched_basis_or_model_rejected(self):
+        X, models, _ = generate(ArrangementSpec(3, (2, 2, 2), 60, 0.0, seed=5))
+        em2, em3 = embed(X, 2), embed(X, 3)
+        P2, P3 = vanishing_basis(em2), vanishing_basis(em3)
+        with pytest.raises(ValueError):
+            peel(P2, models[0], em3)
+        with pytest.raises(ValueError):
+            peel(P3, models[0], em2)
+        P3_in_4 = PolynomialBasis(3, 4, np.eye(monomial_count(3, 4))[:1])
+        with pytest.raises(ValueError):
+            peel(P3_in_4, models[0], em3)
+        model_in_4 = SubspaceModel(np.eye(4)[:, 3:], 3, np.ones(4))
+        with pytest.raises(ValueError):
+            peel(P3, model_in_4, em3)
+
     def test_peel_consistency_on_remaining_points(self):
         X, models, labels = generate(ArrangementSpec(3, (2, 2, 2), 150, 0.0, seed=5))
         em = embed(X, 3)
@@ -346,6 +388,19 @@ class TestSegment:
             other /= np.linalg.norm(other)
             assert np.linalg.norm(other @ em.matrix) >= best - 1e-12
 
+    @pytest.mark.parametrize(
+        "dim,dims", [(3, (2, 2, 2)), (4, (3, 3, 3)), (5, (1, 2, 3)), (4, (2, 2)), (5, (4, 4, 4, 4))]
+    )
+    def test_exact_data_stages_do_not_depend_on_point_scale(self, dim, dims):
+        # segment works on the unit-norm points, and at sigma = 0 every
+        # first-order distance is rounding: the picks must not follow it
+        for seed in range(6):
+            X, _, _ = generate(ArrangementSpec(dim, dims, 60, 0.0, seed=seed))
+            s = np.random.default_rng(seed).uniform(0.5, 2.0, size=(X.shape[0], 1))
+            plain, scaled = segment(X, len(dims)), segment(X * s, len(dims))
+            assert plain.stages == scaled.stages
+            assert np.array_equal(plain.labels, scaled.labels)
+
 
 class TestSegmentWork:
     """One segment call lifts, factors and differentiates no more than it needs."""
@@ -373,7 +428,7 @@ class TestSegmentWork:
             ("lift", veronese, "veronese_lift"),
             ("svd", np.linalg, "svd"),
             ("qr", np.linalg, "qr"),
-            ("gradients", polynomial, "_lifted_gradients"),
+            ("gradients", polynomial, "basis_gradients"),
         ]:
             original = getattr(owner, attr)
             for holder in holders:
@@ -456,6 +511,14 @@ class TestRejectOutliers:
         X, _, _ = generate(ArrangementSpec(3, (2, 2), 80, 0.0, seed=12))
         basis = vanishing_basis(embed(X, 2))
         for mode, level in [("percentile", 0.5), ("percentile", 0.99), ("chi2", 0.9)]:
+            assert reject_outliers(X, basis, mode, level).all()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+    def test_noiseless_data_keeps_everything_at_any_scale(self, scale):
+        X, _, _ = generate(ArrangementSpec(3, (2, 2), 100, 0.0, seed=3))
+        X = X * scale
+        basis = vanishing_basis(embed(X, 2))
+        for mode, level in [("percentile", 0.9), ("chi2", 0.999)]:
             assert reject_outliers(X, basis, mode, level).all()
 
     def test_bad_mode_rejected(self):
