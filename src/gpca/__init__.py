@@ -21,8 +21,8 @@ from .fitting import (
     RankDecision,
     SampleSufficiencyWarning,
     embed,
+    fit_vanishing,
     select_rank,
-    vanishing_basis,
 )
 from .polynomial import (
     HomogeneousPolynomial,

@@ -4,11 +4,12 @@ Every command is a pure function of its inputs, flags, and seed; repeated
 runs produce byte-identical outputs except for wall-time columns. Exit
 codes: 0 success, 2 input error, 3 fit failure, 4 discovery failure.
 Input is checked before any fitting: data values must be finite, points
-need at least 2 coordinates, counts are at least 1, kappa and focal are
-positive, delta is not negative, outlier levels lie inside (0, 1), and
-motion needs a moving correspondence or at least 5 tracks of 3 frames.
-`segment` and `motion` need at least `fitting.min_samples(n, D)` points
-for n subspaces in R^D.
+need at least 2 coordinates, counts are at least 1, focal is positive,
+outlier levels lie inside (0, 1), and motion needs a moving correspondence
+or at least 5 tracks of 3 frames. `segment` and `motion` need at least
+`fitting.min_samples(n, D)` points for n subspaces in R^D. A generate spec
+or experiment config holds no key beyond the ones its command reads, and
+its seed is not negative.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ import numpy as np
 from .discovery import count_hyperplanes, discover_equal_dim, recursive_segment
 from .errors import DiscoveryError, FitError, GpcaError, InputError
 from .experiment import ExperimentConfig, run_experiment, rows_to_csv
-from .fitting import DEFAULT_KAPPA, embed, fit_vanishing, min_samples
+from .fitting import embed, fit_vanishing, min_samples
 from .motion import (
     convert_w_matrix,
     epipolar_lines,
@@ -33,7 +35,7 @@ from .motion import (
     trajectory_matrix,
 )
 from .polynomial import to_text
-from .segmentation import DEFAULT_DELTA, reject_outliers, segment
+from .segmentation import reject_outliers, segment
 from .synthgen import ArrangementSpec, generate, generate_from_bases, load_dataset, save_dataset
 
 EXIT_OK = 0
@@ -89,12 +91,10 @@ def _model_payload(model):
     }
 
 
-def _segment_payload(command, seg, n, kappa, delta, basis=None):
+def _segment_payload(command, seg, n, basis=None):
     payload = {
         "command": command,
         "n": int(n),
-        "kappa": float(kappa),
-        "delta": float(delta),
         "dims": [int(m.dim) for m in seg.models],
         "models": [_model_payload(m) for m in seg.models],
         "labels": [int(v) for v in seg.labels],
@@ -114,13 +114,23 @@ def _segment_payload(command, seg, n, kappa, delta, basis=None):
     return payload
 
 
-def cmd_generate(args) -> int:
+def _read_object(path, what, keys):
+    """The JSON object in a file, which may hold no key outside `keys`."""
     try:
-        spec_data = json.loads(Path(args.spec).read_text())
+        raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read spec {args.spec}: {exc}") from exc
-    if not isinstance(spec_data, dict):
-        raise InputError("spec must be a JSON object")
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise InputError(f"{what} must be a JSON object")
+    unknown = sorted(set(raw) - set(keys))
+    if unknown:
+        raise InputError(f"unknown {what} keys {unknown}; known keys are {sorted(keys)}")
+    return raw
+
+
+def cmd_generate(args) -> int:
+    keys = [f.name for f in fields(ArrangementSpec)] + ["bases"]
+    spec_data = _read_object(args.spec, "spec", keys)
     try:
         bases = spec_data.pop("bases", None)
         spec = ArrangementSpec(
@@ -130,17 +140,17 @@ def cmd_generate(args) -> int:
             noise_sigma=float(spec_data.get("noise_sigma", 0.0)),
             seed=int(spec_data.get("seed", 0)),
         )
+        if bases is not None:
+            X, models, labels = generate_from_bases(
+                [np.array(b, dtype=float) for b in bases],
+                spec.points_per_subspace,
+                spec.noise_sigma,
+                seed=spec.seed,
+            )
+        else:
+            X, models, labels = generate(spec)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad arrangement spec: {exc}") from exc
-    if bases is not None:
-        X, models, labels = generate_from_bases(
-            [np.array(b, dtype=float) for b in bases],
-            spec.points_per_subspace,
-            spec.noise_sigma,
-            seed=spec.seed,
-        )
-    else:
-        X, models, labels = generate(spec)
     csv_path, json_path = save_dataset(args.out, X, models, labels, spec)
     print(f"wrote {csv_path} and {json_path}")
     return EXIT_OK
@@ -172,11 +182,8 @@ def _check_args(args):
     for name in ("n", "n_max"):
         if isinstance(flags.get(name), int) and flags[name] < 1:
             raise InputError(f"--{name.replace('_', '-')} must be at least 1, got {flags[name]}")
-    for name in ("kappa", "focal"):
-        if flags.get(name) is not None and not (np.isfinite(flags[name]) and flags[name] > 0.0):
-            raise InputError(f"--{name} must be a positive number, got {flags[name]}")
-    if "delta" in flags and not (np.isfinite(args.delta) and args.delta >= 0.0):
-        raise InputError(f"--delta must be a non-negative number, got {args.delta}")
+    if flags.get("focal") is not None and not (np.isfinite(args.focal) and args.focal > 0.0):
+        raise InputError(f"--focal must be a positive number, got {args.focal}")
     if flags.get("outliers"):
         args.outliers = _parse_outliers(args.outliers)
 
@@ -186,17 +193,17 @@ def cmd_segment(args) -> int:
     _check_samples(X, args.n, args.data)
     outliers = np.zeros(X.shape[0], dtype=bool)
     if args.outliers:
-        basis, _ = fit_vanishing(embed(X, args.n), args.kappa)
+        basis, _ = fit_vanishing(embed(X, args.n))
         outliers = ~reject_outliers(X, basis, *args.outliers)
-        seg = segment(X[~outliers], args.n, args.kappa, args.delta)
+        seg = segment(X[~outliers], args.n)
     else:
-        seg = segment(X, args.n, args.kappa, args.delta)
+        seg = segment(X, args.n)
         basis = seg.vanishing_basis
     labels = np.full(X.shape[0], -1, dtype=int)
     residuals = np.full(X.shape[0], np.nan)
     labels[~outliers] = seg.labels
     residuals[~outliers] = seg.residuals
-    payload = _segment_payload("segment", seg, args.n, args.kappa, args.delta, basis)
+    payload = _segment_payload("segment", seg, args.n, basis)
     payload["labels"] = [int(v) for v in labels]
     payload["residuals"] = [None if np.isnan(v) else float(v) for v in residuals]
     payload["outliers"] = [int(i) for i in np.flatnonzero(outliers)]
@@ -207,20 +214,17 @@ def cmd_segment(args) -> int:
 def cmd_discover(args) -> int:
     X, _ = _load_points(args.data)
     if args.equal_dim:
-        report = discover_equal_dim(X, args.n_max, args.kappa)
+        report = discover_equal_dim(X, args.n_max)
     else:
-        _, report = recursive_segment(X, args.n_max, args.kappa, args.delta)
+        _, report = recursive_segment(X, args.n_max)
     _write_text(report.to_text(), args.out)
     return EXIT_OK
 
 
 def cmd_experiment(args) -> int:
-    try:
-        raw = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read config {args.config}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise InputError("experiment config must be a JSON object")
+    raw = _read_object(
+        args.config, "experiment config", [f.name for f in fields(ExperimentConfig)]
+    )
     try:
         config = ExperimentConfig(
             algorithms=tuple(raw["algorithms"]),
@@ -230,8 +234,6 @@ def cmd_experiment(args) -> int:
             ambient_dim=int(raw.get("ambient_dim", 3)),
             dims=tuple(raw["dims"]) if "dims" in raw else None,
             points_per_subspace=int(raw.get("points_per_subspace", 200)),
-            kappa=float(raw.get("kappa", DEFAULT_KAPPA)),
-            delta=float(raw.get("delta", DEFAULT_DELTA)),
             seed=int(raw.get("seed", 0)),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -256,10 +258,10 @@ def cmd_motion(args) -> int:
         if tracks.shape[1] < 3:
             raise InputError(f"{args.input}: {tracks.shape[1]} frames; at least 3 are needed")
         points = project_trajectories(trajectory_matrix(tracks))
-    n = count_hyperplanes(points, args.n_max, args.kappa) if args.n == "auto" else args.n
+    n = count_hyperplanes(points, args.n_max) if args.n == "auto" else args.n
     _check_samples(points, n, args.input)
-    seg = segment(points, n, args.kappa, args.delta)
-    payload = _segment_payload(f"motion-{args.mode}", seg, n, args.kappa, args.delta)
+    seg = segment(points, n)
+    payload = _segment_payload(f"motion-{args.mode}", seg, n)
     if args.mode == "epipolar":
         labels = np.full(corr.shape[0], -1, dtype=int)
         labels[data.kept] = seg.labels
@@ -287,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("segment", help="segment a known number of subspaces")
     p.add_argument("--data", required=True, help="point-per-row CSV")
     p.add_argument("--n", type=int, required=True, help="number of subspaces")
-    p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.add_argument("--outliers", default=None, help="percentile:Q or chi2:LEVEL")
     p.add_argument("--out", default=None, help="report JSON path (stdout if omitted)")
     p.set_defaults(func=cmd_segment)
@@ -296,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discover", help="discover subspace count and dimensions")
     p.add_argument("--data", required=True)
     p.add_argument("--n-max", dest="n_max", type=int, required=True)
-    p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.add_argument(
         "--equal-dim",
         action="store_true",
@@ -323,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="focal length in pixels; scales image coordinates to rays",
     )
     p.add_argument("--format", choices=("tracks", "w-matrix"), default="tracks")
-    p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_motion)
     return parser

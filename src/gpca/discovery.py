@@ -16,14 +16,8 @@ import numpy as np
 
 from ._linalg import left_svd, orthonormal_completion
 from .errors import DiscoveryError, FitError
-from .fitting import DEFAULT_KAPPA, embed, select_rank
-from .segmentation import (
-    DEFAULT_DELTA,
-    Segmentation,
-    StageRecord,
-    SubspaceModel,
-    segment,
-)
+from .fitting import embed, select_rank
+from .segmentation import Segmentation, StageRecord, SubspaceModel, segment
 from .veronese import monomial_count
 
 __all__ = [
@@ -84,7 +78,6 @@ class DiscoveryReport:
 
     n: int
     d: tuple[int, ...]
-    kappa: float
     rank_table: tuple[RankProbe, ...]
     tree: DiscoveryNode | None = None
 
@@ -93,7 +86,6 @@ class DiscoveryReport:
         lines = ["discovery report"]
         lines.append(f"  subspaces: {self.n}")
         lines.append(f"  dims: {list(self.d)}")
-        lines.append(f"  kappa: {self.kappa!r}")
         lines.append("rank table (node, level, degree, dim, M, rank, nullity)")
         for p in self.rank_table:
             lines.append(
@@ -158,12 +150,10 @@ def _projected(matrix, X) -> tuple[np.ndarray, np.ndarray]:
     return matrix, X @ matrix.T
 
 
-def _probe(X, degree, level, dim, kappa, node: str) -> RankProbe:
+def _probe(X, degree, level, dim, node: str) -> RankProbe:
     embedded = embed(X, degree, warn=False)
     count = monomial_count(degree, dim)
-    decision = select_rank(
-        embedded.singular_values, kappa, total=count, allow_full_rank=True
-    )
+    decision = select_rank(embedded.singular_values, total=count, allow_full_rank=True)
     nullity = decision.nullity
     if nullity >= 1 and embedded.left_vectors.shape[1] == count:
         # confirm the best null direction vanishes on the data; conditioning
@@ -184,7 +174,7 @@ def _probe(X, degree, level, dim, kappa, node: str) -> RankProbe:
     )
 
 
-def _probe_sweep(X, n_max, kappa, node: str, levels=None):
+def _probe_sweep(X, n_max, node: str, levels=None):
     """Rank probes on PCA projections in (level, degree) order.
 
     Yields (projected points, probe) for `levels` (default 1..D-1) and
@@ -197,10 +187,10 @@ def _probe_sweep(X, n_max, kappa, node: str, levels=None):
         for degree in range(1, n_max + 1):
             if N < monomial_count(degree, level + 1):
                 break
-            yield projected, _probe(projected, degree, level, level + 1, kappa, node=node)
+            yield projected, _probe(projected, degree, level, level + 1, node=node)
 
 
-def count_hyperplanes(X, n_max: int, kappa: float = DEFAULT_KAPPA) -> int:
+def count_hyperplanes(X, n_max: int) -> int:
     """Smallest degree at which the embedded data matrix drops rank.
 
     Valid when every subspace is a hyperplane of the ambient space; the
@@ -209,13 +199,13 @@ def count_hyperplanes(X, n_max: int, kappa: float = DEFAULT_KAPPA) -> int:
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     N, D = X.shape
-    for _, probe in _probe_sweep(X, n_max, kappa, node="", levels=(D - 1,)):
+    for _, probe in _probe_sweep(X, n_max, node="", levels=(D - 1,)):
         if probe.nullity >= 1:
             return probe.degree
     raise DiscoveryError(f"no arrangement of at most {n_max} hyperplanes fits {N} samples")
 
 
-def discover_equal_dim(X, n_max: int, kappa: float = DEFAULT_KAPPA) -> DiscoveryReport:
+def discover_equal_dim(X, n_max: int) -> DiscoveryReport:
     """Common dimension and count for subspaces of equal unknown dimension.
 
     Sweeps candidate dimensions from below: project to ell+1 dimensions and
@@ -226,22 +216,17 @@ def discover_equal_dim(X, n_max: int, kappa: float = DEFAULT_KAPPA) -> Discovery
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     probes: list[RankProbe] = []
-    for _, probe in _probe_sweep(X, n_max, kappa, node=""):
+    for _, probe in _probe_sweep(X, n_max, node=""):
         probes.append(probe)
         if probe.nullity >= 1:
             n = probe.degree
-            return DiscoveryReport(n, (probe.level,) * n, kappa, tuple(probes))
+            return DiscoveryReport(n, (probe.level,) * n, tuple(probes))
     raise DiscoveryError(
         f"no equal-dimension arrangement found with up to {n_max} subspaces"
     )
 
 
-def recursive_segment(
-    X,
-    n_max: int,
-    kappa: float = DEFAULT_KAPPA,
-    delta: float = DEFAULT_DELTA,
-) -> tuple[Segmentation, DiscoveryReport]:
+def recursive_segment(X, n_max: int) -> tuple[Segmentation, DiscoveryReport]:
     """Segment an unknown number of subspaces of unknown dimensions.
 
     Each recursion first tightens its ambient space to the span of its
@@ -265,9 +250,7 @@ def recursive_segment(
 
         # Tighten the ambient space to the span of the points.
         left, data_sv = left_svd(local.T)
-        span_dec = select_rank(
-            data_sv, kappa, total=cur_dim, allow_full_rank=True
-        )
+        span_dec = select_rank(data_sv, total=cur_dim, allow_full_rank=True)
         if span_dec.nullity > 0:
             keep = span_dec.effective_rank
             rot = left[:, :keep]
@@ -306,13 +289,13 @@ def recursive_segment(
         # projections can align with the arrangement and fake structure, in
         # which case probing simply continues at the next (level, degree).
         skipped = []
-        for projected, probe in _probe_sweep(local, n_max, kappa, node=name):
+        for projected, probe in _probe_sweep(local, n_max, node=name):
             probes.append(probe)
             level, degree = probe.level, probe.degree
             if degree < 2 or probe.nullity < 1:
                 continue
             try:
-                split = segment(projected, degree, kappa, delta)
+                split = segment(projected, degree)
             except FitError as exc:
                 skipped.append(f"l={level} i={degree}: split failed ({exc})")
                 continue
@@ -375,7 +358,6 @@ def recursive_segment(
     report = DiscoveryReport(
         n=len(models),
         d=tuple(m.dim for m in models),
-        kappa=kappa,
         rank_table=tuple(probes),
         tree=tree,
     )

@@ -16,9 +16,8 @@ import numpy as np
 
 from .baselines import IterativeConfig, em_mixture_pca, k_subspaces
 from .errors import FitError, InputError
-from .fitting import DEFAULT_KAPPA
 from .metrics import matched_accuracy
-from .segmentation import DEFAULT_DELTA, segment
+from .segmentation import segment
 from .synthgen import ArrangementSpec, angle_error, generate
 
 __all__ = ["ALGORITHMS", "ExperimentConfig", "TrialRow", "run_experiment", "rows_to_csv"]
@@ -44,8 +43,6 @@ class ExperimentConfig:
     ambient_dim: int = 3
     dims: tuple[int, ...] | None = None
     points_per_subspace: int = 200
-    kappa: float = DEFAULT_KAPPA
-    delta: float = DEFAULT_DELTA
     seed: int = 0
 
     def __post_init__(self):
@@ -58,10 +55,8 @@ class ExperimentConfig:
             raise InputError("trials must be at least 1")
         if not all(np.isfinite(s) and s >= 0 for s in self.noise_grid):
             raise InputError("noise levels must be finite and not negative")
-        if not (np.isfinite(self.kappa) and self.kappa > 0):
-            raise InputError(f"kappa must be a positive number, got {self.kappa}")
-        if not (np.isfinite(self.delta) and self.delta >= 0):
-            raise InputError(f"delta must be a non-negative number, got {self.delta}")
+        if self.seed < 0:
+            raise InputError(f"seed cannot be negative, got {self.seed}")
         if self.n < 1:
             raise InputError("need at least one subspace")
         dims = self.dims
@@ -158,7 +153,7 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRow]:
             if any(name.startswith("gpca") for name in config.algorithms):
                 start = time.perf_counter()
                 try:
-                    warm = segment(X, config.n, config.kappa, config.delta)
+                    warm = segment(X, config.n)
                 except FitError as exc:
                     warm = exc
                 warm_s = time.perf_counter() - start
@@ -198,23 +193,16 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRow]:
     return rows
 
 
-def _ok_trials(rows, algorithm, sigma=None):
-    """Successful trial rows of one algorithm, at one sigma unless sigma is None."""
-    return [
-        r
-        for r in rows
-        if r.kind == "trial"
-        and r.algorithm == algorithm
-        and r.status == "ok"
-        and (sigma is None or r.sigma == sigma)
-    ]
-
-
 def _summaries(config, rows):
+    """One "mean" row per (sigma, algorithm) cell over its successful trial rows."""
     out = []
     for sigma in config.noise_grid:
         for name in config.algorithms:
-            cell = _ok_trials(rows, name, sigma)
+            cell = [
+                r
+                for r in rows
+                if (r.kind, r.algorithm, r.sigma, r.status) == ("trial", name, sigma, "ok")
+            ]
             if not cell:
                 continue
             out.append(
@@ -232,23 +220,6 @@ def _summaries(config, rows):
                 )
             )
     return out
-
-
-def _ok_mean(rows, algorithm, sigma, column) -> float:
-    cell = _ok_trials(rows, algorithm, sigma)
-    if not cell:
-        raise ValueError(f"no successful rows for {algorithm!r}")
-    return float(np.mean([getattr(r, column) for r in cell]))
-
-
-def mean_iterations(rows, algorithm, sigma=None) -> float:
-    """Mean iteration count over successful trial rows of one algorithm."""
-    return _ok_mean(rows, algorithm, sigma, "iterations")
-
-
-def mean_error(rows, algorithm, sigma=None) -> float:
-    """Mean angle error over successful trial rows of one algorithm."""
-    return _ok_mean(rows, algorithm, sigma, "error_degrees")
 
 
 def rows_to_csv(rows) -> str:

@@ -25,11 +25,12 @@ __all__ = [
     "embed",
     "min_samples",
     "select_rank",
-    "vanishing_basis",
     "fit_vanishing",
 ]
 
-DEFAULT_KAPPA = 1e-6
+# Rank penalty of the criterion: each extra rank costs KAPPA against the
+# relative energy of the discarded tail.
+KAPPA = 1e-6
 
 
 class SampleSufficiencyWarning(UserWarning):
@@ -67,7 +68,6 @@ class RankDecision:
     nullity: int
     criterion_values: tuple[float, ...]
     candidate_ranks: tuple[int, ...]
-    kappa: float
 
 
 def min_samples(degree: int, dim: int) -> int:
@@ -130,20 +130,16 @@ def _rank_criterion(sv: np.ndarray, kappa, max_rank: int) -> tuple[np.ndarray, n
 
 
 def select_rank(
-    singular_values,
-    kappa: float = DEFAULT_KAPPA,
-    *,
-    total: int | None = None,
-    allow_full_rank: bool = False,
+    singular_values, *, total: int | None = None, allow_full_rank: bool = False
 ) -> RankDecision:
     """Effective rank of a descending spectrum by penalized spectral gap.
 
-    Minimizes sigma_{r+1}^2 / sum_{j<=r} sigma_j^2 + kappa * r; singular
+    Minimizes sigma_{r+1}^2 / sum_{j<=r} sigma_j^2 + KAPPA * r; singular
     values past the end of the list, up to `total`, count as exact zeros.
     Candidates run over ranks 1 .. total-1 so that a fit always keeps at
     least one vanishing polynomial; rank probes in model discovery and the
     gradient rank pass `allow_full_rank=True`, which adds the rank == total
-    candidate (its criterion value is exactly kappa * total) and lets
+    candidate (its criterion value is exactly KAPPA * total) and lets
     nullity 0 mean "no deficiency".
     """
     sv = np.asarray(singular_values, dtype=float).ravel()
@@ -151,8 +147,6 @@ def select_rank(
         raise ValueError("empty singular spectrum")
     if np.any(sv < 0) or np.any(np.diff(sv) > 1e-12 * max(sv[0], 1.0)):
         raise ValueError("singular values must be non-negative and descending")
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
     total = int(total) if total is not None else sv.size
     if total < sv.size:
         raise ValueError("total cannot be smaller than the number of values given")
@@ -163,68 +157,41 @@ def select_rank(
         raise ValueError(f"no candidate ranks in [1, {max_rank}]")
     padded = np.zeros((1, total))
     padded[0, : sv.size] = sv
-    ranks, values = _rank_criterion(padded, kappa, max_rank)
+    ranks, values = _rank_criterion(padded, KAPPA, max_rank)
     rank = int(ranks[0])
     return RankDecision(
         effective_rank=rank,
         nullity=total - rank,
         criterion_values=tuple(float(v) for v in values[0]),
         candidate_ranks=tuple(range(1, max_rank + 1)),
-        kappa=float(kappa),
     )
 
 
-def null_space_polynomials(
-    left_vectors: np.ndarray,
-    degree: int,
-    dim: int,
-    nullity: int,
-) -> PolynomialBasis:
-    """Polynomials from the left singular vectors of the smallest values.
+def _null_space_fit(
+    left_vectors: np.ndarray, singular_values: np.ndarray, degree: int, dim: int
+) -> tuple[PolynomialBasis, RankDecision]:
+    """Vanishing basis and rank decision from a factored fitting matrix.
 
+    The basis rows are the left singular vectors of the smallest values.
     `left_vectors` is the economy factor (M x k); when k < M the missing
     directions correspond to exact zeros and are completed orthonormally.
     """
     count = monomial_count(degree, dim)
+    decision = select_rank(singular_values, total=count)
     k = left_vectors.shape[1]
     rows = []
     missing = count - k
     if missing > 0:
         completion = orthonormal_completion(left_vectors)
-        rows.extend(completion.T[: min(missing, nullity)])
-    needed = nullity - len(rows)
+        rows.extend(completion.T[: min(missing, decision.nullity)])
+    needed = decision.nullity - len(rows)
     if needed > 0:
         rows.extend(left_vectors[:, k - needed :].T[::-1])
-    return PolynomialBasis(degree, dim, np.vstack(rows))
+    return PolynomialBasis(degree, dim, np.vstack(rows)), decision
 
 
-def _null_space_fit(
-    left_vectors: np.ndarray,
-    singular_values: np.ndarray,
-    degree: int,
-    dim: int,
-    kappa: float,
-) -> tuple[PolynomialBasis, RankDecision]:
-    """Vanishing basis and rank decision from a factored fitting matrix."""
-    decision = select_rank(singular_values, kappa, total=monomial_count(degree, dim))
-    basis = null_space_polynomials(left_vectors, degree, dim, decision.nullity)
-    return basis, decision
-
-
-def fit_vanishing(
-    embedded: EmbeddedMatrix, kappa: float = DEFAULT_KAPPA
-) -> tuple[PolynomialBasis, RankDecision]:
-    """Vanishing basis plus the rank decision that sized it."""
+def fit_vanishing(embedded: EmbeddedMatrix) -> tuple[PolynomialBasis, RankDecision]:
+    """Least-squares vanishing basis of the embedded points, and the rank decision that sized it."""
     return _null_space_fit(
-        embedded.left_vectors,
-        embedded.singular_values,
-        embedded.degree,
-        embedded.dim,
-        kappa,
+        embedded.left_vectors, embedded.singular_values, embedded.degree, embedded.dim
     )
-
-
-def vanishing_basis(embedded: EmbeddedMatrix, kappa: float = DEFAULT_KAPPA) -> PolynomialBasis:
-    """Least-squares basis of polynomials vanishing on the embedded points."""
-    basis, _ = fit_vanishing(embedded, kappa)
-    return basis

@@ -20,7 +20,7 @@ import numpy as np
 from ._linalg import left_svd
 from .errors import FitError, StageError
 from .fitting import (
-    DEFAULT_KAPPA,
+    KAPPA,
     EmbeddedMatrix,
     _null_space_fit,
     _rank_criterion,
@@ -43,7 +43,10 @@ __all__ = [
     "reject_outliers",
 ]
 
-DEFAULT_DELTA = 0.02
+# Damping of select_point's score (distance + DELTA) / (residuals + DELTA) once
+# some subspaces are known: the score stays finite on a recovered subspace,
+# where the residual product is 0, and is at least 1 there.
+DELTA = 0.02
 
 # Singular values below this fraction of the largest are treated as zero in
 # pseudo-inverses and gradient rank checks.
@@ -167,7 +170,7 @@ def _distance2(P: PolynomialBasis, X: np.ndarray) -> tuple[np.ndarray, np.ndarra
     # itself, so the penalty floor is raised to the squared evident
     # displacement scale (degree * ||values|| / leading singular value).
     scale = _TRUNCATION_MARGIN * P.degree * np.linalg.norm(values, axis=1) / safe_top
-    kappa_eff = np.maximum(DEFAULT_KAPPA, scale**2)
+    kappa_eff = np.maximum(KAPPA, scale**2)
     ranks, _ = _rank_criterion(sv, kappa_eff, sv.shape[1])
     keep = np.arange(sv.shape[1]) < ranks[:, None]
     keep &= sv > PINV_RTOL * sv[:, :1]
@@ -189,12 +192,7 @@ _TRUNCATION_MARGIN = 20.0
 _ROUNDING_D2 = 1e-24
 
 
-def select_point(
-    P: PolynomialBasis,
-    X,
-    already_found: tuple[SubspaceModel, ...] = (),
-    delta: float = DEFAULT_DELTA,
-) -> int:
+def select_point(P: PolynomialBasis, X, already_found: tuple[SubspaceModel, ...] = ()) -> int:
     """Index of the best representative point for the next subspace.
 
     With no models found yet this is the plain first-order distance argmin.
@@ -217,14 +215,14 @@ def select_point(
         denom = np.ones(X.shape[0])
         for model in already_found:
             denom *= model.residuals(X)
-        score = (dist + delta) / (denom + delta)
+        score = (dist + DELTA) / (denom + DELTA)
     else:
         score = d2
     score = np.where(valid, score, np.inf)
     return int(np.argmin(score))
 
 
-def model_at_point(P: PolynomialBasis, y, kappa: float = DEFAULT_KAPPA) -> SubspaceModel:
+def model_at_point(P: PolynomialBasis, y) -> SubspaceModel:
     """Subspace model from the polynomial gradients at one point.
 
     The gradients' dominant left singular subspace is the complement basis;
@@ -238,7 +236,7 @@ def model_at_point(P: PolynomialBasis, y, kappa: float = DEFAULT_KAPPA) -> Subsp
     left, sv, _ = np.linalg.svd(grads, full_matrices=True)
     if sv[0] <= 0.0:
         raise FitError("polynomial gradients vanish at the chosen point")
-    rank = select_rank(sv, kappa, allow_full_rank=True).effective_rank
+    rank = select_rank(sv, allow_full_rank=True).effective_rank
     if rank >= D:
         raise FitError(
             "gradients span the whole space; the point is not on any subspace "
@@ -275,8 +273,7 @@ def peel(P: PolynomialBasis, model: SubspaceModel, embedded: EmbeddedMatrix) -> 
     if P.degree < 2:
         raise ValueError("cannot peel below degree 1")
     left, sv = _peel(embedded.left_vectors, embedded.singular_values, P.degree, model)
-    basis, _ = _null_space_fit(left, sv, P.degree - 1, P.dim, DEFAULT_KAPPA)
-    return basis
+    return _null_space_fit(left, sv, P.degree - 1, P.dim)[0]
 
 
 def assign(X, models) -> tuple[np.ndarray, np.ndarray]:
@@ -291,12 +288,7 @@ def assign(X, models) -> tuple[np.ndarray, np.ndarray]:
     return labels, residuals
 
 
-def segment(
-    X,
-    n: int,
-    kappa: float = DEFAULT_KAPPA,
-    delta: float = DEFAULT_DELTA,
-) -> Segmentation:
+def segment(X, n: int) -> Segmentation:
     """Segment a union of n subspaces from unlabeled points.
 
     Runs the descending-degree loop on the unit-norm points: fit vanishing
@@ -315,11 +307,11 @@ def segment(
     stages: list[StageRecord] = []
     for degree in range(n, 0, -1):
         try:
-            basis, decision = _null_space_fit(left, sv, degree, dim, kappa)
+            basis, decision = _null_space_fit(left, sv, degree, dim)
             if degree == n:
                 top_basis = basis
-            idx = select_point(basis, points, tuple(models), delta)
-            model = model_at_point(basis, points[idx], kappa)
+            idx = select_point(basis, points, tuple(models))
+            model = model_at_point(basis, points[idx])
             models.append(model)
             stages.append(
                 StageRecord(

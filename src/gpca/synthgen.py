@@ -49,6 +49,8 @@ class ArrangementSpec:
             raise ValueError("need at least one point per subspace")
         if self.noise_sigma < 0:
             raise ValueError("noise level cannot be negative")
+        if self.seed < 0:
+            raise ValueError(f"seed cannot be negative, got {self.seed}")
 
 
 def _random_subspace_bases(rng, ambient_dim, dims):
@@ -64,7 +66,10 @@ def _random_subspace_bases(rng, ambient_dim, dims):
                 bases.append(cand)
                 break
         else:
-            raise RuntimeError("could not sample a well-separated arrangement")
+            raise ValueError(
+                f"could not sample {len(dims)} well-separated subspaces of dims {list(dims)} "
+                f"in R^{ambient_dim}"
+            )
     return bases
 
 

@@ -449,10 +449,25 @@ def _input_files(folder):
         "full_dim": {"dims": [3], "ambient_dim": 3},
         "line_space": {"ambient_dim": 1},
         "no_points": {"points_per_subspace": 0},
+        "config_typo": {"seeed": 3},
+        "config_kappa": {"kappa": 1e-6},
+        "config_seed": {"seed": -1},
+    }
+    spec = {"ambient_dim": 2, "dims": [1, 1], "points_per_subspace": 5}
+    specs = {
+        "spec_typo": {"seeed": 3},
+        "spec_bases": {"bases": [[1, 0], [0, 1]]},
+        "spec_text_bases": {"bases": "x"},
+        "spec_seed": {"seed": -1},
+        "spec_crowded": {"dims": [1] * 50},
     }
     for name, fields in configs.items():
         paths[name] = str(folder / f"{name}.json")
         Path(paths[name]).write_text(json.dumps({**base, **fields}))
+    for name, fields in specs.items():
+        paths[name] = str(folder / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps({**spec, **fields}))
+    paths["out"] = str(folder / "generated")
     return paths
 
 
@@ -470,11 +485,11 @@ class TestInputValidation:
             ["segment", "--data", "{good}", "--n", "0"],
             ["segment", "--data", "{good}", "--n", "-1"],
             ["discover", "--data", "{good}", "--n-max", "0"],
-            ["segment", "--data", "{good}", "--n", "2", "--kappa", "0"],
+            ["generate", "--spec", "{spec_typo}", "--out", "{out}"],
             ["segment", "--data", "{good}", "--n", "2", "--outliers", "chi2:1.5"],
             ["motion", "--mode", "epipolar", "--input", "{corr}", "--n", "abc"],
             ["motion", "--mode", "epipolar", "--input", "{corr}", "--focal", "0"],
-            ["segment", "--data", "{good}", "--n", "2", "--delta", "nan"],
+            ["experiment", "--config", "{config_typo}"],
             ["motion", "--mode", "epipolar", "--input", "{still}"],
             ["motion", "--mode", "affine", "--input", "{few_tracks}"],
             ["experiment", "--config", "{full_dim}"],
@@ -484,6 +499,12 @@ class TestInputValidation:
             ["motion", "--mode", "epipolar", "--input", "{one_corr}", "--n", "2"],
             ["motion", "--mode", "affine", "--input", "{frames_1}"],
             ["motion", "--mode", "affine", "--input", "{frames_2}"],
+            ["experiment", "--config", "{config_kappa}"],
+            ["experiment", "--config", "{config_seed}"],
+            ["generate", "--spec", "{spec_bases}", "--out", "{out}"],
+            ["generate", "--spec", "{spec_text_bases}", "--out", "{out}"],
+            ["generate", "--spec", "{spec_seed}", "--out", "{out}"],
+            ["generate", "--spec", "{spec_crowded}", "--out", "{out}"],
         ],
     )
     def test_rejected_with_exit_2(self, argv, tmp_path, capsys):
@@ -499,7 +520,7 @@ def _cli_calls(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rank = draw(st.integers(1, cols))
     X = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
-    fault = draw(st.sampled_from([None, None, "nan", "inf", "zero", "count", "kappa", "level"]))
+    fault = draw(st.sampled_from([None, None, "nan", "inf", "zero", "count", "level"]))
     if fault in ("nan", "inf", "zero"):
         hit = draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=3))
         X[hit] = {"nan": np.nan, "inf": -np.inf, "zero": 0.0}[fault]
@@ -511,9 +532,7 @@ def _cli_calls(draw):
         argv += [] if level is None else ["--outliers", level]
     else:
         argv = ["discover", "--n-max", count] + draw(st.sampled_from([[], ["--equal-dim"]]))
-    kappas = ["0", "-1", "inf", "nan"] if fault == "kappa" else [None, "1e-6", "1e-3", "0.5"]
-    kappa = draw(st.sampled_from(kappas))
-    return X, argv + ([] if kappa is None else ["--kappa", kappa])
+    return X, argv
 
 
 @st.composite
@@ -556,10 +575,6 @@ def _experiment_configs(draw):
     }
     if draw(st.booleans()):
         config["dims"] = draw(st.lists(st.integers(0, ambient), min_size=n, max_size=n))
-    if draw(st.booleans()):
-        config["kappa"] = draw(st.sampled_from([1e-6, 1e-3, 0.0, -1.0]))
-    if draw(st.booleans()):
-        config["delta"] = draw(st.sampled_from([0.0, 0.02, -1.0]))
     return config
 
 

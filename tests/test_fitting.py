@@ -7,12 +7,12 @@ from util import intro_quadratic_basis, line_and_plane, lines_plus_plane, produc
 from gpca._linalg import max_principal_angle
 from gpca.errors import DegenerateDataError
 from gpca.fitting import (
+    KAPPA,
     SampleSufficiencyWarning,
     _rank_criterion,
     embed,
     fit_vanishing,
     select_rank,
-    vanishing_basis,
 )
 from gpca.polynomial import product_of_linear_forms
 from gpca.synthgen import generate, ArrangementSpec
@@ -61,35 +61,33 @@ class TestEmbed:
 
 class TestSelectRank:
     def test_numerically_zero_tail(self):
-        decision = select_rank(np.array([1.0, 1e-12]), 1e-6)
+        decision = select_rank(np.array([1.0, 1e-12]))
         assert (decision.effective_rank, decision.nullity) == (1, 1)
 
     def test_two_small_values(self):
-        decision = select_rank(np.array([5.0, 4.0, 3.0, 2.0, 1e-9, 1e-10]), 1e-6)
+        decision = select_rank(np.array([5.0, 4.0, 3.0, 2.0, 1e-9, 1e-10]))
         assert (decision.effective_rank, decision.nullity) == (4, 2)
 
     def test_mixed_dims_config_rank_five_of_six(self):
         X, _, _ = lines_plus_plane(points_per=150)
         em = embed(X, 2)
-        decision = select_rank(em.singular_values, 1e-6, total=6)
+        decision = select_rank(em.singular_values, total=6)
         assert (decision.effective_rank, decision.nullity) == (5, 1)
 
     def test_all_zero_is_degenerate(self):
         with pytest.raises(DegenerateDataError):
-            select_rank(np.zeros(4), 1e-6)
+            select_rank(np.zeros(4))
 
     def test_full_rank_needs_flag(self):
         sv = np.array([3.0, 2.0, 1.0])
-        capped = select_rank(sv, 1e-6)
+        capped = select_rank(sv)
         assert capped.effective_rank <= 2
-        free = select_rank(sv, 1e-6, allow_full_rank=True)
+        free = select_rank(sv, allow_full_rank=True)
         assert (free.effective_rank, free.nullity) == (3, 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            select_rank(np.array([1.0, 2.0]), 1e-6)  # ascending
-        with pytest.raises(ValueError):
-            select_rank(np.array([1.0, 0.5]), -1.0)
+            select_rank(np.array([1.0, 2.0]))  # ascending
 
 
 def reference_criterion_rank(sv, kappa, total, min_rank, max_rank):
@@ -149,8 +147,8 @@ class TestRankCriterionOracle:
                 hi = total if allow_full_rank else total - 1
                 if hi < 1:
                     continue
-                decision = select_rank(sv, kappa, total=total, allow_full_rank=allow_full_rank)
-                assert decision.effective_rank == reference_criterion_rank(sv, kappa, total, 1, hi)[0]
+                decision = select_rank(sv, total=total, allow_full_rank=allow_full_rank)
+                assert decision.effective_rank == reference_criterion_rank(sv, KAPPA, total, 1, hi)[0]
 
     def test_batched_matches_reference_keep_mask(self):
         rng = np.random.default_rng(21)
@@ -167,7 +165,7 @@ class TestRankCriterionOracle:
 class TestVanishingBasis:
     def test_intro_spans_known_quadratics(self):
         X, _, _ = line_and_plane(points_per=150)
-        basis = vanishing_basis(embed(X, 2))
+        basis = fit_vanishing(embed(X, 2))[0]
         assert len(basis) == 2
         angle = coefficient_span_angle(basis, intro_quadratic_basis())
         assert angle <= 1e-8
@@ -176,14 +174,14 @@ class TestVanishingBasis:
         rng = np.random.default_rng(3)
         span = np.column_stack([np.array([1.0, 0, 0]), np.array([0, 1.0, 0])])
         X = (span @ rng.standard_normal((2, 80))).T
-        basis = vanishing_basis(embed(X, 1))
+        basis = fit_vanishing(embed(X, 1))[0]
         assert len(basis) == 1
         coeffs = basis.coefficients[0]
         assert abs(coeffs[2]) / np.linalg.norm(coeffs) == pytest.approx(1.0, abs=1e-10)
 
     def test_two_random_planes_product_polynomial(self):
         X, models, _ = generate(ArrangementSpec(3, (2, 2), 120, 0.0, seed=4))
-        basis = vanishing_basis(embed(X, 2))
+        basis = fit_vanishing(embed(X, 2))[0]
         assert len(basis) == 1
         product = product_of_linear_forms(
             [m.complement_basis[:, 0] for m in models]
@@ -196,7 +194,7 @@ class TestVanishingBasis:
     def test_vanishing_on_noiseless_samples(self):
         X, _, _ = lines_plus_plane(points_per=120, seed=5)
         em = embed(X, 3)
-        basis = vanishing_basis(em)
+        basis = fit_vanishing(em)[0]
         values = np.abs(basis.evaluate(em.points))
         scales = np.linalg.norm(em.matrix, axis=0)
         assert np.all(values.max(axis=1) <= 1e-8 * np.maximum(scales, 1e-30))
@@ -206,7 +204,7 @@ class TestVanishingBasis:
         from gpca._linalg import orthonormal_completion
 
         X, models, _ = generate(ArrangementSpec(4, (2, 3), 200, 0.0, seed=6))
-        basis = vanishing_basis(embed(X, 2))
+        basis = fit_vanishing(embed(X, 2))[0]
         products = product_basis(
             [orthonormal_completion(m.complement_basis) for m in models]
         )
@@ -218,8 +216,8 @@ class TestVanishingBasis:
 
     def test_scale_equivariance(self):
         X, _, _ = generate(ArrangementSpec(3, (2, 2), 100, 0.0, seed=7))
-        b1 = vanishing_basis(embed(X, 2))
-        b2 = vanishing_basis(embed(257.0 * X, 2))
+        b1 = fit_vanishing(embed(X, 2))[0]
+        b2 = fit_vanishing(embed(257.0 * X, 2))[0]
         assert coefficient_span_angle(b1, b2) <= 1e-9
 
     def test_monotone_nullity(self):

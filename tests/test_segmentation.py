@@ -14,7 +14,7 @@ from util import (
 
 from gpca._linalg import left_svd, max_principal_angle, orthonormal_completion, vector_angle
 from gpca.errors import FitError, StageError
-from gpca.fitting import embed, vanishing_basis
+from gpca.fitting import embed, fit_vanishing
 from gpca.metrics import matched_accuracy
 from gpca.polynomial import PolynomialBasis, lift_matrix
 from gpca.segmentation import (
@@ -84,7 +84,7 @@ class TestAlgebraicDistance:
             dims = [int(r.integers(1, D)) for _ in range(n_sub)]
             try:
                 spans = _random_subspace_bases(r, D, dims)
-            except RuntimeError:
+            except ValueError:
                 continue
             basis = product_basis(spans)
             base = None
@@ -126,7 +126,7 @@ class TestAlgebraicDistance:
             for degree, dim in [(1, 3), (2, 3), (3, 4), (4, 5)]
         ]
         X, _, _ = generate(ArrangementSpec(5, (1, 2, 3), 60, 0.01, seed=4))
-        bases.append(vanishing_basis(embed(X, 3)))
+        bases.append(fit_vanishing(embed(X, 3))[0])
         for P in bases:
             points = rng.standard_normal((7, P.dim))
             for x in (points, points[0]):
@@ -139,7 +139,7 @@ class TestAlgebraicDistance:
 
     def test_exact_points_are_zero_at_any_scale(self):
         X, _, _ = generate(ArrangementSpec(3, (2, 2), 50, 0.0, seed=7))
-        P = vanishing_basis(embed(X, 2))
+        P = fit_vanishing(embed(X, 2))[0]
         for scale in (1e-6, 1.0, 1e6):
             assert np.all(algebraic_distance2(P, X * scale) == 0.0)
 
@@ -147,7 +147,7 @@ class TestAlgebraicDistance:
 class TestSelectPoint:
     def test_noiseless_picks_deterministically(self):
         X, _, _ = line_and_plane(points_per=80)
-        P = vanishing_basis(embed(X, 2))
+        P = fit_vanishing(embed(X, 2))[0]
         first = select_point(P, X / np.linalg.norm(X, axis=1, keepdims=True))
         again = select_point(P, X / np.linalg.norm(X, axis=1, keepdims=True))
         assert first == again
@@ -156,8 +156,8 @@ class TestSelectPoint:
     def test_after_plane_found_picks_line_point(self):
         X, _, labels = line_and_plane(points_per=80)
         Xn = X / np.linalg.norm(X, axis=1, keepdims=True)
-        P = vanishing_basis(embed(X, 2))
-        idx = select_point(P, Xn, (PLANE_MODEL,), delta=0.02)
+        P = fit_vanishing(embed(X, 2))[0]
+        idx = select_point(P, Xn, (PLANE_MODEL,))
         assert labels[idx] == 0  # the line
 
     def test_all_degenerate_raises(self):
@@ -182,7 +182,7 @@ class TestModelAtPoint:
         b = rng.standard_normal(4)
         b /= np.linalg.norm(b)
         X = (orthonormal_completion(b[:, None]) @ rng.standard_normal((3, 60))).T
-        P = vanishing_basis(embed(X, 1))
+        P = fit_vanishing(embed(X, 1))[0]
         y = X[0] / np.linalg.norm(X[0])
         model = model_at_point(P, y)
         assert model.dim == 3
@@ -197,7 +197,7 @@ class TestPeel:
     def test_intro_peel_leaves_line_polynomials(self):
         X, _, _ = line_and_plane(points_per=100)
         em = embed(X, 2)
-        P = vanishing_basis(em)
+        P = fit_vanishing(em)[0]
         lower = peel(P, PLANE_MODEL, em)
         assert lower.degree == 1
         coeffs = lower.coefficients
@@ -207,7 +207,7 @@ class TestPeel:
     def test_two_planes_peel_to_remaining_normal(self):
         X, models, _ = generate(ArrangementSpec(3, (2, 2), 120, 0.0, seed=3))
         em = embed(X, 2)
-        P = vanishing_basis(em)
+        P = fit_vanishing(em)[0]
         lower = peel(P, models[0], em)
         assert len(lower) == 1
         normal = lower.coefficients[0]
@@ -217,7 +217,7 @@ class TestPeel:
         X, _, _ = generate(ArrangementSpec(3, (2, 2, 2), 150, 0.01, seed=6))
         seg = segment(X, 3)
         em = embed(X, 3)
-        lower = peel(vanishing_basis(em), seg.models[0], em)
+        lower = peel(fit_vanishing(em)[0], seg.models[0], em)
         model = model_at_point(lower, em.points[seg.stages[1].picked_index])
         assert model.dim == seg.models[1].dim
         assert np.array_equal(model.complement_basis, seg.models[1].complement_basis)
@@ -225,7 +225,7 @@ class TestPeel:
     def test_one_svd_per_peel(self, monkeypatch):
         X, models, _ = generate(ArrangementSpec(3, (2, 2, 2), 150, 0.01, seed=5))
         em = embed(X, 3)
-        P = vanishing_basis(em)
+        P = fit_vanishing(em)[0]
         M, M3 = monomial_count(2, 3), monomial_count(3, 3)
         calls = []
 
@@ -271,7 +271,7 @@ class TestPeel:
     def test_mismatched_basis_or_model_rejected(self):
         X, models, _ = generate(ArrangementSpec(3, (2, 2, 2), 60, 0.0, seed=5))
         em2, em3 = embed(X, 2), embed(X, 3)
-        P2, P3 = vanishing_basis(em2), vanishing_basis(em3)
+        P2, P3 = fit_vanishing(em2)[0], fit_vanishing(em3)[0]
         with pytest.raises(ValueError):
             peel(P2, models[0], em3)
         with pytest.raises(ValueError):
@@ -286,7 +286,7 @@ class TestPeel:
     def test_peel_consistency_on_remaining_points(self):
         X, models, labels = generate(ArrangementSpec(3, (2, 2, 2), 150, 0.0, seed=5))
         em = embed(X, 3)
-        P = vanishing_basis(em)
+        P = fit_vanishing(em)[0]
         lower = peel(P, models[0], em)
         remaining = em.points[labels != 0]
         values = np.abs(lower.evaluate(remaining))
@@ -363,7 +363,7 @@ class TestSegment:
     def test_top_basis_is_the_fitted_vanishing_basis(self):
         X, _, _ = generate(ArrangementSpec(3, (2, 2, 1), 100, 0.01, seed=13))
         seg = segment(X, 3)
-        fitted = vanishing_basis(embed(X, 3))
+        fitted = fit_vanishing(embed(X, 3))[0]
         assert np.array_equal(seg.vanishing_basis.coefficients, fitted.coefficients)
 
     def test_invalid_count(self):
@@ -378,7 +378,7 @@ class TestSegment:
         # fitted coefficients minimize the algebraic objective over unit vectors
         X, _, _ = generate(ArrangementSpec(3, (2, 2), 150, 0.02, seed=10))
         em = embed(X, 2)
-        basis = vanishing_basis(em)
+        basis = fit_vanishing(em)[0]
         c = basis.coefficients[0]
         best = np.linalg.norm(c @ em.matrix)
         assert best == pytest.approx(em.singular_values[-1], rel=1e-9)
@@ -476,7 +476,7 @@ class TestRejectOutliers:
             data, is_outlier = self.contaminated(800 + seed)
             active = np.ones(data.shape[0], dtype=bool)
             for _ in range(2):
-                basis = vanishing_basis(embed(data[active], 2, warn=False))
+                basis = fit_vanishing(embed(data[active], 2, warn=False))[0]
                 keep = reject_outliers(data[active], basis, "percentile", 0.9)
                 idx = np.flatnonzero(active)
                 active[idx[~keep]] = False
@@ -509,7 +509,7 @@ class TestRejectOutliers:
 
     def test_noiseless_data_keeps_everything(self):
         X, _, _ = generate(ArrangementSpec(3, (2, 2), 80, 0.0, seed=12))
-        basis = vanishing_basis(embed(X, 2))
+        basis = fit_vanishing(embed(X, 2))[0]
         for mode, level in [("percentile", 0.5), ("percentile", 0.99), ("chi2", 0.9)]:
             assert reject_outliers(X, basis, mode, level).all()
 
@@ -517,12 +517,12 @@ class TestRejectOutliers:
     def test_noiseless_data_keeps_everything_at_any_scale(self, scale):
         X, _, _ = generate(ArrangementSpec(3, (2, 2), 100, 0.0, seed=3))
         X = X * scale
-        basis = vanishing_basis(embed(X, 2))
+        basis = fit_vanishing(embed(X, 2))[0]
         for mode, level in [("percentile", 0.9), ("chi2", 0.999)]:
             assert reject_outliers(X, basis, mode, level).all()
 
     def test_bad_mode_rejected(self):
         X, _, _ = generate(ArrangementSpec(3, (2, 2), 50, 0.0, seed=13))
-        basis = vanishing_basis(embed(X, 2))
+        basis = fit_vanishing(embed(X, 2))[0]
         with pytest.raises(ValueError):
             reject_outliers(X, basis, "mad", 0.9)
