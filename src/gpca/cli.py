@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--equal-dim",
         action="store_true",
-        help="assume equal dimensions instead of recursing",
+        help="consider only arrangements of equal dimensions",
     )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_discover)

@@ -1,23 +1,25 @@
-"""Model discovery: counting subspaces and dimensions by rank probes.
+"""Model discovery: the subspace count and dimensions from rank probes.
 
-A union of n hyperplanes makes the embedded data matrix drop rank first at
-degree n. Lower-dimensional subspaces hide that signature in the full
-ambient space, so probes run on projections to ell+1 dimensions for
-increasing ell; the first (ell, degree) deficiency gives the common
-dimension and count. For mixed dimensions the split is applied recursively
-inside each recovered subspace.
+For k >= n, the number of independent degree-k polynomials vanishing on a
+transversal union of n subspaces is fixed by their dims
+(`fitting.hilbert_nullity`). Discovery probes the nullity at degrees
+1..n_max on PCA projections to ell+1 dimensions, from ell = D-1 down, and
+takes the smallest n whose nullities at every probed k >= n are predicted
+by exactly one dims multiset. `recursive_segment` then splits that level's
+points with `segment` and refits each group in R^D.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
 from ._linalg import left_svd, orthonormal_completion
 from .errors import DiscoveryError, FitError
-from .fitting import embed, select_rank
-from .segmentation import Segmentation, StageRecord, SubspaceModel, segment
+from .fitting import embed, hilbert_nullity, select_rank
+from .segmentation import Segmentation, SubspaceModel, assign, segment
 from .veronese import monomial_count
 
 __all__ = [
@@ -30,25 +32,16 @@ __all__ = [
     "recursive_segment",
 ]
 
-# Residual threshold for flagging points that do not sit cleanly on their
-# assigned subspace during recursive splitting.
-_MEMBERSHIP_TOL = 1e-6
-
 # A rank probe only counts as a deficiency when its null direction actually
 # vanishes on the data at this relative tolerance: thin-but-nonzero spectrum
 # directions otherwise masquerade as structure.
 _VANISH_TOL = 1e-6
-
-# Fraction of points allowed beyond the membership tolerance before a split
-# is rejected as the product of a degenerate projection.
-_MAX_STRAY_FRACTION = 0.02
 
 
 @dataclass(frozen=True)
 class RankProbe:
     """One rank test: degree and projected dimension against the criterion."""
 
-    node: str
     level: int
     degree: int
     ambient_dim: int
@@ -59,16 +52,14 @@ class RankProbe:
 
 @dataclass(frozen=True)
 class DiscoveryNode:
-    """One node of the recursive splitting trace."""
+    """The split of `recursive_segment`, or one of its leaves."""
 
     name: str
     n_points: int
     ambient_dim: int
-    tightened_to: int | None = None
     split_degree: int | None = None
     split_level: int | None = None
     leaf_dim: int | None = None
-    diagnostic: str = ""
     children: tuple["DiscoveryNode", ...] = ()
 
 
@@ -82,36 +73,30 @@ class DiscoveryReport:
     tree: DiscoveryNode | None = None
 
     def to_text(self) -> str:
-        """Deterministic plain-text rendering (rank table plus recursion tree)."""
+        """Deterministic plain-text rendering (rank table plus split tree)."""
         lines = ["discovery report"]
         lines.append(f"  subspaces: {self.n}")
         lines.append(f"  dims: {list(self.d)}")
-        lines.append("rank table (node, level, degree, dim, M, rank, nullity)")
+        lines.append("rank table (level, degree, dim, M, rank, nullity)")
         for p in self.rank_table:
             lines.append(
-                f"  {p.node or '-'} l={p.level} i={p.degree} dim={p.ambient_dim} "
+                f"  l={p.level} i={p.degree} dim={p.ambient_dim} "
                 f"M={p.embedded_dim} rank={p.rank} nullity={p.nullity}"
             )
         if self.tree is not None:
             lines.append("tree")
-            lines.extend(self._node_lines(self.tree, indent=1))
+            lines.append(_node_text(self.tree, "  "))
+            lines.extend(_node_text(leaf, "    ") for leaf in self.tree.children)
         return "\n".join(lines) + "\n"
 
-    def _node_lines(self, node: DiscoveryNode, indent: int) -> list[str]:
-        pad = "  " * indent
-        desc = f"{pad}node {node.name or 'root'}: points={node.n_points} ambient={node.ambient_dim}"
-        if node.tightened_to is not None:
-            desc += f" tightened->{node.tightened_to}"
-        if node.leaf_dim is not None:
-            desc += f" leaf dim={node.leaf_dim}"
-        if node.split_degree is not None:
-            desc += f" split degree={node.split_degree} level={node.split_level}"
-        if node.diagnostic:
-            desc += f" [{node.diagnostic}]"
-        out = [desc]
-        for child in node.children:
-            out.extend(self._node_lines(child, indent + 1))
-        return out
+
+def _node_text(node: DiscoveryNode, pad: str) -> str:
+    desc = f"{pad}node {node.name or 'root'}: points={node.n_points} ambient={node.ambient_dim}"
+    if node.leaf_dim is not None:
+        desc += f" leaf dim={node.leaf_dim}"
+    if node.split_degree is not None:
+        desc += f" split degree={node.split_degree} level={node.split_level}"
+    return desc
 
 
 def project(
@@ -150,8 +135,9 @@ def _projected(matrix, X) -> tuple[np.ndarray, np.ndarray]:
     return matrix, X @ matrix.T
 
 
-def _probe(X, degree, level, dim, node: str) -> RankProbe:
+def _probe(X, degree) -> RankProbe:
     embedded = embed(X, degree, warn=False)
+    dim = X.shape[1]
     count = monomial_count(degree, dim)
     decision = select_rank(embedded.singular_values, total=count, allow_full_rank=True)
     nullity = decision.nullity
@@ -164,8 +150,7 @@ def _probe(X, degree, level, dim, node: str) -> RankProbe:
         if residual > _VANISH_TOL:
             nullity = 0
     return RankProbe(
-        node=node,
-        level=level,
+        level=dim - 1,
         degree=degree,
         ambient_dim=dim,
         embedded_dim=count,
@@ -174,32 +159,65 @@ def _probe(X, degree, level, dim, node: str) -> RankProbe:
     )
 
 
-def _probe_sweep(X, n_max, node: str, levels=None):
-    """Rank probes on PCA projections in (level, degree) order.
+def _probes(projected, n_max: int):
+    """Rank probes of projected points at degrees 1..n_max, while N >= M."""
+    N, dim = projected.shape
+    for degree in range(1, n_max + 1):
+        if N < monomial_count(degree, dim):
+            return
+        yield _probe(projected, degree)
 
-    Yields (projected points, probe) for `levels` (default 1..D-1) and
-    degrees 1..n_max, moving to the next level once the degree needs more
-    monomials than there are points.
+
+def _match(X, n_max: int, equal_dim: bool):
+    """The arrangement whose Hilbert function matches the rank probes.
+
+    Walks the levels from D-1 down and accepts the smallest n for which
+    exactly one candidate dims multiset (equal dims only with `equal_dim`)
+    has `hilbert_nullity` equal to the observed nullity at every probed
+    degree k >= n; two or more raise. Returns the ascending dims, the
+    level, its projected points and every probe made.
     """
-    N, D = X.shape
-    for level in range(1, D) if levels is None else levels:
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    probes: list[RankProbe] = []
+    for level in range(X.shape[1] - 1, 0, -1):
         _, projected = project(X, level + 1, kind="pca")
-        for degree in range(1, n_max + 1):
-            if N < monomial_count(degree, level + 1):
+        level_probes = list(_probes(projected, n_max))
+        probes.extend(level_probes)
+        for n in range(1, n_max + 1):
+            checked = [p for p in level_probes if p.degree >= n]
+            if not checked:
                 break
-            yield projected, _probe(projected, degree, level, level + 1, node=node)
+            if equal_dim:
+                candidates = [(d,) * n for d in range(1, level + 1)]
+            else:
+                candidates = combinations_with_replacement(range(1, level + 1), n)
+            found = [
+                dims
+                for dims in candidates
+                if all(p.nullity == hilbert_nullity(dims, level + 1, p.degree) for p in checked)
+            ]
+            if len(found) > 1:
+                raise DiscoveryError(
+                    f"the rank probes at level {level} fit {n} subspaces of dims "
+                    + " and of dims ".join(str(list(dims)) for dims in found)
+                )
+            if found:
+                return found[0], level, projected, tuple(probes)
+    raise DiscoveryError(f"no arrangement of at most {n_max} subspaces matches the rank probes")
 
 
 def count_hyperplanes(X, n_max: int) -> int:
     """Smallest degree at which the embedded data matrix drops rank.
 
     Valid when every subspace is a hyperplane of the ambient space; the
-    first deficient degree of the sweep's top level (D-1, no projection
-    beyond a rotation) equals the number of hyperplanes.
+    first deficient degree of the top level (D-1, no projection beyond a
+    rotation) equals the number of hyperplanes.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     N, D = X.shape
-    for _, probe in _probe_sweep(X, n_max, node="", levels=(D - 1,)):
+    _, rotated = project(X, D, kind="pca")
+    for probe in _probes(rotated, n_max):
         if probe.nullity >= 1:
             return probe.degree
     raise DiscoveryError(f"no arrangement of at most {n_max} hyperplanes fits {N} samples")
@@ -208,157 +226,44 @@ def count_hyperplanes(X, n_max: int) -> int:
 def discover_equal_dim(X, n_max: int) -> DiscoveryReport:
     """Common dimension and count for subspaces of equal unknown dimension.
 
-    Sweeps candidate dimensions from below: project to ell+1 dimensions and
-    probe degrees 1..n_max; the first deficiency wins, reported as n
-    subspaces of dimension ell. Projecting below the true dimension fills
-    the whole space and stays full rank, so the sweep cannot stop early with
-    an undersized answer.
+    The Hilbert-function match over equal-dimension candidates only.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    probes: list[RankProbe] = []
-    for _, probe in _probe_sweep(X, n_max, node=""):
-        probes.append(probe)
-        if probe.nullity >= 1:
-            n = probe.degree
-            return DiscoveryReport(n, (probe.level,) * n, tuple(probes))
-    raise DiscoveryError(
-        f"no equal-dimension arrangement found with up to {n_max} subspaces"
-    )
+    dims, _, _, probes = _match(X, n_max, equal_dim=True)
+    return DiscoveryReport(len(dims), dims, probes)
 
 
 def recursive_segment(X, n_max: int) -> tuple[Segmentation, DiscoveryReport]:
     """Segment an unknown number of subspaces of unknown dimensions.
 
-    Each recursion first tightens its ambient space to the span of its
-    points, then looks for the minimal (dimension, degree) rank deficiency,
-    splits with the known-degree segmentation on the projected data, and
-    recurses into each group with that group's subspace as the new ambient
-    space. Groups admitting no further split become leaves.
+    The Hilbert-function match over every dims multiset gives n, the dims
+    and a level; `segment` splits that level's projected points into n
+    groups, each group's subspace is refit in R^D by PCA at its dim, and
+    every point goes to its nearest refit subspace. A failed split, or one
+    whose dims differ from the matched ones, raises DiscoveryError.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     N, D = X.shape
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    probes: list[RankProbe] = []
-    leaves: list[tuple[np.ndarray, SubspaceModel]] = []
-
-    def recurse(points, indices, basis, depth, name) -> DiscoveryNode:
-        local = points
-        cur_basis = basis
-        cur_dim = local.shape[1]
-        tightened_to = None
-
-        # Tighten the ambient space to the span of the points.
-        left, data_sv = left_svd(local.T)
-        span_dec = select_rank(data_sv, total=cur_dim, allow_full_rank=True)
-        if span_dec.nullity > 0:
-            keep = span_dec.effective_rank
-            rot = left[:, :keep]
-            local = local @ rot
-            cur_basis = cur_basis @ rot
-            cur_dim = keep
-            tightened_to = keep
-
-        def leaf(diagnostic=""):
-            if cur_dim >= D:
-                raise DiscoveryError(
-                    "points span the full ambient space; no subspace structure found"
-                )
-            model = SubspaceModel(
-                complement_basis=orthonormal_completion(cur_basis),
-                dim=cur_dim,
-                representative=X[indices[0]],
-            )
-            leaves.append((indices, model))
-            return DiscoveryNode(
-                name=name,
-                n_points=len(indices),
-                ambient_dim=cur_dim,
-                tightened_to=tightened_to,
-                leaf_dim=cur_dim,
-                diagnostic=diagnostic,
-            )
-
-        if cur_dim == 1 or depth >= n_max:
-            return leaf("depth limit" if cur_dim > 1 and depth >= n_max else "")
-
-        # Find the minimal (level, degree) rank deficiency.
-        # Degree-1 deficiency is owned by the tightening step above, so probes
-        # at degree 1 are recorded for the table but never trigger a split.
-        # A deficiency only counts once its split is usable: degenerate
-        # projections can align with the arrangement and fake structure, in
-        # which case probing simply continues at the next (level, degree).
-        skipped = []
-        for projected, probe in _probe_sweep(local, n_max, node=name):
-            probes.append(probe)
-            level, degree = probe.level, probe.degree
-            if degree < 2 or probe.nullity < 1:
-                continue
-            try:
-                split = segment(projected, degree)
-            except FitError as exc:
-                skipped.append(f"l={level} i={degree}: split failed ({exc})")
-                continue
-            groups = [
-                np.flatnonzero(split.labels == g)
-                for g in range(len(split.models))
-            ]
-            groups = [g for g in groups if g.size > 0]
-            stray = int(np.sum(split.residuals > _MEMBERSHIP_TOL))
-            if len(groups) < 2 or stray > _MAX_STRAY_FRACTION * local.shape[0]:
-                skipped.append(
-                    f"l={level} i={degree}: unusable split "
-                    f"({len(groups)} groups, {stray} stray points)"
-                )
-                continue
-            children = []
-            for child_index, group in enumerate(groups):
-                children.append(
-                    recurse(
-                        local[group],
-                        indices[group],
-                        cur_basis,
-                        depth + 1,
-                        f"{name}.{child_index}" if name else str(child_index),
-                    )
-                )
-            diagnostic = "; ".join(skipped)
-            if stray:
-                note = f"{stray} points beyond membership tolerance"
-                diagnostic = f"{diagnostic}; {note}" if diagnostic else note
-            return DiscoveryNode(
-                name=name,
-                n_points=len(indices),
-                ambient_dim=cur_dim,
-                tightened_to=tightened_to,
-                split_degree=degree,
-                split_level=level,
-                diagnostic=diagnostic,
-                children=tuple(children),
-            )
-        return leaf("; ".join(skipped))
-
-    tree = recurse(X, np.arange(N), np.eye(D), depth=0, name="")
-
-    models = tuple(model for _, model in leaves)
-    labels = np.empty(N, dtype=int)
-    residuals = np.empty(N)
-    for leaf_index, (indices, model) in enumerate(leaves):
-        labels[indices] = leaf_index
-        residuals[indices] = model.residuals(X[indices])
-    segmentation = Segmentation(
-        models=models,
-        labels=labels,
-        residuals=residuals,
-        stages=tuple(
-            StageRecord(degree=0, nullity=0, picked_index=int(idx[0]), model_dim=m.dim)
-            for idx, m in leaves
-        ),
+    dims, level, projected, probes = _match(X, n_max, equal_dim=False)
+    n = len(dims)
+    try:
+        split = segment(projected, n)
+    except FitError as exc:
+        raise DiscoveryError(f"splitting {n} subspaces at level {level} failed: {exc}") from exc
+    if tuple(sorted(split.dims)) != dims:
+        raise DiscoveryError(f"the split found dims {sorted(split.dims)}, the match {list(dims)}")
+    models = []
+    for group, dim in enumerate(split.dims):
+        members = X[split.labels == group]
+        if len(members) < dim:
+            raise DiscoveryError(f"{len(members)} points cannot span a {dim}-dim subspace")
+        left, _ = left_svd(members.T)
+        models.append(SubspaceModel(orthonormal_completion(left[:, :dim]), dim, members[0]))
+    labels, residuals = assign(X, models)
+    segmentation = Segmentation(tuple(models), labels, residuals, split.stages)
+    leaves = tuple(
+        DiscoveryNode(str(group) if n > 1 else "", int(count), D, leaf_dim=dim)
+        for group, (count, dim) in enumerate(zip(np.bincount(labels, minlength=n), split.dims))
     )
-    report = DiscoveryReport(
-        n=len(models),
-        d=tuple(m.dim for m in models),
-        rank_table=tuple(probes),
-        tree=tree,
-    )
-    return segmentation, report
+    tree = leaves[0] if n == 1 else DiscoveryNode("", N, D, n, level, children=leaves)
+    return segmentation, DiscoveryReport(n, split.dims, probes, tree)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "RankDecision",
     "embed",
     "min_samples",
+    "hilbert_nullity",
     "select_rank",
     "fit_vanishing",
 ]
@@ -55,10 +57,6 @@ class EmbeddedMatrix:
     points: np.ndarray = field(repr=False)
     left_vectors: np.ndarray = field(repr=False)
 
-    @property
-    def n_points(self) -> int:
-        return self.matrix.shape[1]
-
 
 @dataclass(frozen=True)
 class RankDecision:
@@ -73,6 +71,23 @@ class RankDecision:
 def min_samples(degree: int, dim: int) -> int:
     """Fewest points that can isolate a null space at this degree and dimension."""
     return monomial_count(degree, dim) - 1
+
+
+def hilbert_nullity(dims, ambient_dim: int, degree: int) -> int:
+    """Independent degree-k polynomials vanishing on a transversal arrangement.
+
+    Inclusion-exclusion over generic intersections: the sum over subsets S
+    of (-1)^|S| * M_k(sum_S d_i - (|S| - 1) * D), where an empty
+    intersection, {0}, adds nothing. Exact for degree >= len(dims)
+    (Derksen, Hilbert series of subspace arrangements, JPAA 2007).
+    """
+    total = 0
+    for size in range(len(dims) + 1):
+        for subset in combinations(dims, size):
+            meet = sum(subset) - (size - 1) * ambient_dim
+            if meet > 0:
+                total += (-1) ** size * monomial_count(degree, meet)
+    return total
 
 
 def embed(X, degree: int, *, warn: bool = True) -> EmbeddedMatrix:

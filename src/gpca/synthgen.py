@@ -47,8 +47,8 @@ class ArrangementSpec:
             )
         if self.points_per_subspace < 1:
             raise ValueError("need at least one point per subspace")
-        if self.noise_sigma < 0:
-            raise ValueError("noise level cannot be negative")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise level must be finite and not negative, got {self.noise_sigma}")
         if self.seed < 0:
             raise ValueError(f"seed cannot be negative, got {self.seed}")
 

@@ -460,6 +460,8 @@ def _input_files(folder):
         "spec_text_bases": {"bases": "x"},
         "spec_seed": {"seed": -1},
         "spec_crowded": {"dims": [1] * 50},
+        "spec_inf_noise": {"noise_sigma": float("inf")},
+        "spec_nan_noise": {"noise_sigma": float("nan")},
     }
     for name, fields in configs.items():
         paths[name] = str(folder / f"{name}.json")
@@ -505,6 +507,8 @@ class TestInputValidation:
             ["generate", "--spec", "{spec_text_bases}", "--out", "{out}"],
             ["generate", "--spec", "{spec_seed}", "--out", "{out}"],
             ["generate", "--spec", "{spec_crowded}", "--out", "{out}"],
+            ["generate", "--spec", "{spec_inf_noise}", "--out", "{out}"],
+            ["generate", "--spec", "{spec_nan_noise}", "--out", "{out}"],
         ],
     )
     def test_rejected_with_exit_2(self, argv, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Rank-probe discovery, projections, and the recursive splitter."""
+"""Rank-probe discovery, projections, and the Hilbert-function match."""
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from gpca.discovery import (
     recursive_segment,
 )
 from gpca.errors import DiscoveryError
+from gpca.fitting import hilbert_nullity
 from gpca.metrics import matched_accuracy
 from gpca.motion import epipolar_lines, synthetic_translations
 from gpca.synthgen import ArrangementSpec, generate
@@ -118,8 +119,11 @@ class TestDiscoverEqualDim:
     def test_rank_table_recorded(self):
         X, _, _ = two_coordinate_lines()
         result = discover_equal_dim(X, 4)
-        assert result.rank_table[-1].nullity >= 1
-        assert all(p.nullity == 0 for p in result.rank_table[:-1])
+        level = result.rank_table[-1].level
+        matched = [p for p in result.rank_table if p.level == level and p.degree >= result.n]
+        assert matched
+        for p in matched:
+            assert p.nullity == hilbert_nullity(result.d, level + 1, p.degree)
 
     def test_nothing_found_raises(self):
         rng = np.random.default_rng(10)
@@ -145,7 +149,7 @@ class TestRecursiveSegment:
     def test_rank_probe_progression(self):
         X, _, _ = lines_plus_plane()
         _, report = recursive_segment(X, 4)
-        root = {(p.level, p.degree): p for p in report.rank_table if p.node == ""}
+        root = {(p.level, p.degree): p for p in report.rank_table}
         assert root[(2, 1)].rank == 3 and root[(2, 1)].nullity == 0
         assert root[(2, 2)].rank == 5 and root[(2, 2)].nullity == 1
 
@@ -154,6 +158,7 @@ class TestRecursiveSegment:
         seg, report = recursive_segment(X, 4)
         assert report.n == 1 and report.d == (2,)
         assert report.tree.children == ()
+        assert report.tree.leaf_dim == 2 and report.tree.n_points == X.shape[0]
 
     def test_leaf_union_partitions_points(self):
         X, _, _ = lines_plus_plane(seed=60)
@@ -183,6 +188,22 @@ class TestRecursiveSegment:
             )
             assert best <= 1e-7
 
+    def test_fixed_mixed_input_is_not_over_split(self):
+        # one seeded input on which the earlier recursive splitter reported dims (1, 2, 3, 3)
+        X, _, labels = generate(ArrangementSpec(5, (1, 2, 3), 100, 0.0, seed=1))
+        seg, report = recursive_segment(X, 4)
+        assert sorted(report.d) == [1, 2, 3]
+        assert matched_accuracy(labels, seg.labels) == 1.0
+        assert (report.tree.split_degree, report.tree.split_level) == (3, 4)
+        assert sorted(leaf.leaf_dim for leaf in report.tree.children) == [1, 2, 3]
+
+    def test_ambiguous_match_names_the_candidates(self):
+        # 24 points allow degrees 1 and 2 only; at degree 2 two 3-dim subspaces
+        # of R^5 leave the same 4 quadrics as a line and a 4-dim subspace
+        X, _, _ = generate(ArrangementSpec(5, (3, 3), 12, 0.0, seed=0))
+        with pytest.raises(DiscoveryError, match=r"\[1, 4\] and of dims \[3, 3\]"):
+            recursive_segment(X, 4)
+
     def test_structureless_input_raises(self):
         rng = np.random.default_rng(12)
         with pytest.raises(DiscoveryError):
@@ -201,3 +222,42 @@ class TestRecursiveSegment:
                 continue
             hits += (report.n, report.d) == (3, (1, 1, 1))
         assert hits / trials >= 0.95
+
+
+# Exact arrangements for the (n, dims) grid below. The misses are inputs with
+# a real singular value near 1e-3 of the largest, which the rank criterion
+# (fitting.KAPPA = 1e-6) reads as zero, so a probe's nullity is one too large.
+_GRID_SPECS = [
+    (3, (1, 1, 2)),
+    (5, (2, 2, 2)),
+    (5, (1, 2, 3)),
+    (4, (1, 2, 3)),
+    (5, (1, 1, 1)),
+    (6, (2, 3, 4)),
+    (4, (3, 3, 3)),
+    (3, (2, 2, 2, 2)),
+]
+_GRID_MISSES = {((3, (1, 1, 2)), 53), ((5, (1, 2, 3)), 29), ((4, (1, 2, 3)), 38)}
+
+
+@pytest.mark.parametrize(
+    "spec, seed",
+    [
+        pytest.param(
+            spec,
+            seed,
+            id=f"{spec[0]}-{'.'.join(map(str, spec[1]))}-seed{seed}",
+            marks=[pytest.mark.xfail(strict=True, reason="nullity read one too large")]
+            if (spec, seed) in _GRID_MISSES
+            else [],
+        )
+        for spec in _GRID_SPECS
+        for seed in range(60)
+    ],
+)
+def test_exact_grid_gives_n_and_dims(spec, seed):
+    D, dims = spec
+    X, _, labels = generate(ArrangementSpec(D, dims, 100, 0.0, seed=seed))
+    seg, report = recursive_segment(X, 4)
+    assert sorted(report.d) == sorted(dims)
+    assert matched_accuracy(labels, seg.labels) == 1.0

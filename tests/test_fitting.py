@@ -12,6 +12,7 @@ from gpca.fitting import (
     _rank_criterion,
     embed,
     fit_vanishing,
+    hilbert_nullity,
     select_rank,
 )
 from gpca.polynomial import product_of_linear_forms
@@ -226,3 +227,24 @@ class TestVanishingBasis:
         _, d_small = fit_vanishing(embed(generate(spec_small)[0], 3, warn=False))
         _, d_large = fit_vanishing(embed(generate(spec_large)[0], 3, warn=False))
         assert d_large.nullity <= d_small.nullity
+
+
+class TestHilbertNullity:
+    @pytest.mark.parametrize("D, n", [(2, 3), (3, 1), (3, 4), (5, 2), (6, 4)])
+    def test_generic_hyperplanes_leave_their_product(self, D, n):
+        assert hilbert_nullity((D - 1,) * n, D, n) == 1
+
+    def test_line_plane_and_solid_in_r5(self):
+        assert hilbert_nullity((1, 2, 3), 5, 3) == 20
+        assert hilbert_nullity((1, 2, 3), 5, 4) == 49
+
+    @pytest.mark.parametrize(
+        "D, dims, seed", [(3, (1, 1, 2), 0), (4, (2, 2), 1), (5, (1, 2, 3), 1), (5, (2, 2, 2), 2)]
+    )
+    def test_equals_observed_probe_nullities_on_exact_data(self, D, dims, seed):
+        from gpca.discovery import _probe
+
+        X, _, _ = generate(ArrangementSpec(D, dims, 100, 0.0, seed=seed))
+        for degree in range(len(dims), 5):
+            observed = _probe(X, degree).nullity
+            assert observed == hilbert_nullity(dims, D, degree)
