@@ -28,12 +28,8 @@ from .polynomial import (
     HomogeneousPolynomial,
     PolynomialBasis,
     basis_gradients,
-    divide_by_linear,
     evaluate,
-    gradient,
     lift_matrix,
-    multiply_by_linear,
-    product_of_linear_forms,
 )
 from .segmentation import (
     Segmentation,
@@ -41,7 +37,6 @@ from .segmentation import (
     algebraic_distance2,
     assign,
     model_at_point,
-    peel,
     reject_outliers,
     segment,
     select_point,

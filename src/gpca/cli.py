@@ -75,7 +75,10 @@ def _load_points(path):
 
 
 def _check_samples(points, n, path):
-    needed = min_samples(n, points.shape[1])
+    try:
+        needed = min_samples(n, points.shape[1])
+    except OverflowError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     if points.shape[0] < needed:
         raise InputError(
             f"{path}: {points.shape[0]} points cannot fit {n} subspaces "

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -65,7 +64,6 @@ class RankDecision:
     effective_rank: int
     nullity: int
     criterion_values: tuple[float, ...]
-    candidate_ranks: tuple[int, ...]
 
 
 def min_samples(degree: int, dim: int) -> int:
@@ -79,15 +77,20 @@ def hilbert_nullity(dims, ambient_dim: int, degree: int) -> int:
     Inclusion-exclusion over generic intersections: the sum over subsets S
     of (-1)^|S| * M_k(sum_S d_i - (|S| - 1) * D), where an empty
     intersection, {0}, adds nothing. Exact for degree >= len(dims)
-    (Derksen, Hilbert series of subspace arrangements, JPAA 2007).
+    (Derksen, Hilbert series of subspace arrangements, JPAA 2007). Each added
+    subspace shrinks the intersection by D - d_i > 0, so a depth-first walk
+    stops a branch at its first empty intersection.
     """
-    total = 0
-    for size in range(len(dims) + 1):
-        for subset in combinations(dims, size):
-            meet = sum(subset) - (size - 1) * ambient_dim
-            if meet > 0:
-                total += (-1) ** size * monomial_count(degree, meet)
-    return total
+
+    def terms(start: int, meet: int, sign: int) -> int:
+        total = sign * monomial_count(degree, meet)
+        for i in range(start, len(dims)):
+            smaller = meet + dims[i] - ambient_dim
+            if smaller > 0:
+                total += terms(i + 1, smaller, -sign)
+        return total
+
+    return terms(0, ambient_dim, 1)
 
 
 def embed(X, degree: int, *, warn: bool = True) -> EmbeddedMatrix:
@@ -178,7 +181,6 @@ def select_rank(
         effective_rank=rank,
         nullity=total - rank,
         criterion_values=tuple(float(v) for v in values[0]),
-        candidate_ranks=tuple(range(1, max_rank + 1)),
     )
 
 

@@ -1,9 +1,9 @@
 """Homogeneous polynomials as coefficient vectors over the canonical monomials.
 
-Supports evaluation, gradients read off the coefficients through
-`raise_table` (never through numerical differences of the data), multiplication
-and least-squares division by linear forms, and a plain-text round-trip
-format used by the CLI.
+Supports evaluation, basis gradients read off the coefficients through
+`raise_table` (never through numerical differences of the data), the matrix
+of multiplication by a linear form, and the plain-text format of the CLI
+report.
 """
 
 from __future__ import annotations
@@ -18,14 +18,9 @@ __all__ = [
     "HomogeneousPolynomial",
     "PolynomialBasis",
     "evaluate",
-    "gradient",
     "basis_gradients",
     "lift_matrix",
-    "multiply_by_linear",
-    "product_of_linear_forms",
-    "divide_by_linear",
     "to_text",
-    "from_text",
 ]
 
 # Coefficient stacks more rank-deficient than this are rejected at construction.
@@ -55,12 +50,6 @@ class HomogeneousPolynomial:
         coeffs = coeffs.copy()
         coeffs.flags.writeable = False
         object.__setattr__(self, "coefficients", coeffs)
-
-    def __call__(self, x):
-        return evaluate(self, x)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coefficients))
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,16 +97,6 @@ def evaluate(p: HomogeneousPolynomial, x):
     return float(value) if np.isscalar(value) or value.ndim == 0 else value
 
 
-def gradient(p: HomogeneousPolynomial, x):
-    """Gradient of p at x from its differentiated coefficients.
-
-    Returns (D,) for a single point or (N, D) for a batch. The data itself is
-    never differenced; only the lift of degree n-1 is evaluated.
-    """
-    rows = _derivative_rows(p.degree, p.dim, p.coefficients[None, :])[:, :, 0]
-    return veronese_lift(x, p.degree - 1) @ rows
-
-
 def basis_gradients(P: PolynomialBasis, x):
     """Gradients of all basis polynomials, one per column.
 
@@ -155,60 +134,7 @@ def lift_matrix(b, degree: int) -> np.ndarray:
     return mat
 
 
-def multiply_by_linear(p: HomogeneousPolynomial, b) -> HomogeneousPolynomial:
-    """The product p(x) * (b^T x), one degree higher."""
-    lift = lift_matrix(b, p.degree + 1)
-    return HomogeneousPolynomial(p.degree + 1, p.dim, p.coefficients @ lift)
-
-
-def product_of_linear_forms(normals) -> HomogeneousPolynomial:
-    """Polynomial vanishing on the union of the hyperplanes b_i^T x = 0."""
-    normals = [np.asarray(b, dtype=float).ravel() for b in normals]
-    if not normals:
-        raise ValueError("need at least one linear form")
-    dim = normals[0].shape[0]
-    p = HomogeneousPolynomial(1, dim, normals[0])
-    for b in normals[1:]:
-        p = multiply_by_linear(p, b)
-    return p
-
-
-def divide_by_linear(p: HomogeneousPolynomial, b) -> tuple[HomogeneousPolynomial, float]:
-    """Least-squares division of p by the linear form b^T x.
-
-    Returns the degree-(n-1) quotient and the coefficient-space residual
-    norm. The residual is ~0 exactly when b^T x divides p; with noisy
-    coefficients it doubles as a divisibility diagnostic.
-    """
-    b = np.asarray(b, dtype=float).ravel()
-    if np.linalg.norm(b) == 0.0:
-        raise ValueError("cannot divide by the zero form")
-    if p.degree < 1:
-        raise ValueError("division needs degree >= 1")
-    lift = lift_matrix(b, p.degree)
-    # Solve c_low @ R = c in least squares; R always has full row rank for b != 0
-    # because multiplication by a nonzero form is injective.
-    c_low, _, rank, _ = np.linalg.lstsq(lift.T, p.coefficients, rcond=None)
-    if rank < lift.shape[0]:
-        raise ArithmeticError("division matrix unexpectedly rank deficient")
-    residual = float(np.linalg.norm(c_low @ lift - p.coefficients))
-    return HomogeneousPolynomial(p.degree - 1, p.dim, c_low), residual
-
-
 def to_text(p: HomogeneousPolynomial) -> str:
     """One-line header `degree dim`, then the coefficients in canonical order."""
     coeffs = " ".join(repr(float(c)) for c in p.coefficients)
     return f"{p.degree} {p.dim}\n{coeffs}\n"
-
-
-def from_text(text: str) -> HomogeneousPolynomial:
-    """Inverse of to_text; round-trips exactly."""
-    lines = [line for line in text.strip().splitlines() if line.strip()]
-    if len(lines) != 2:
-        raise ValueError("expected a header line and a coefficient line")
-    try:
-        degree, dim = (int(tok) for tok in lines[0].split())
-        coeffs = np.array([float(tok) for tok in lines[1].split()])
-    except ValueError as exc:
-        raise ValueError(f"malformed polynomial text: {exc}") from exc
-    return HomogeneousPolynomial(degree, dim, coeffs)

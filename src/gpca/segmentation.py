@@ -21,7 +21,6 @@ from ._linalg import left_svd
 from .errors import FitError, StageError
 from .fitting import (
     KAPPA,
-    EmbeddedMatrix,
     _null_space_fit,
     _rank_criterion,
     embed,
@@ -37,7 +36,6 @@ __all__ = [
     "algebraic_distance2",
     "select_point",
     "model_at_point",
-    "peel",
     "assign",
     "segment",
     "reject_outliers",
@@ -258,22 +256,6 @@ def _peel(left: np.ndarray, sv: np.ndarray, degree: int, model: SubspaceModel):
     raised = (left * sv)[raise_table(degree, model.ambient_dim)]
     blocks = model.complement_basis.T @ raised
     return left_svd(blocks.reshape(blocks.shape[0], -1))
-
-
-def peel(P: PolynomialBasis, model: SubspaceModel, embedded: EmbeddedMatrix) -> PolynomialBasis:
-    """Divide a degree-i fitting problem by the recovered subspace.
-
-    This is one stage of `segment`: the embedded matrix's factors, multiplied
-    by the lift of every complement direction and stacked, give a system
-    whose left null space holds the degree-(i-1) polynomials vanishing on
-    the remaining subspaces.
-    """
-    if (P.degree, P.dim, model.ambient_dim) != (embedded.degree, embedded.dim, embedded.dim):
-        raise ValueError("the basis and the model must match the embedding's degree and dim")
-    if P.degree < 2:
-        raise ValueError("cannot peel below degree 1")
-    left, sv = _peel(embedded.left_vectors, embedded.singular_values, P.degree, model)
-    return _null_space_fit(left, sv, P.degree - 1, P.dim)[0]
 
 
 def assign(X, models) -> tuple[np.ndarray, np.ndarray]:

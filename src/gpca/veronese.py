@@ -28,7 +28,6 @@ import numpy as np
 __all__ = [
     "monomial_count",
     "monomial_basis",
-    "monomial_position",
     "veronese_lift",
     "raise_table",
 ]
@@ -66,16 +65,6 @@ def monomial_basis(degree: int, dim: int) -> np.ndarray:
 def _position_table(degree: int, dim: int) -> dict[tuple[int, ...], int]:
     rows = monomial_basis(degree, dim).tolist()
     return {tuple(exponents): position for position, exponents in enumerate(rows)}
-
-
-def monomial_position(exponents, dim: int | None = None) -> int:
-    """Position of an exponent tuple in the basis of its degree."""
-    exponents = tuple(int(e) for e in exponents)
-    if any(e < 0 for e in exponents):
-        raise ValueError(f"negative exponent in {exponents}")
-    if dim is None:
-        dim = len(exponents)
-    return _position_table(sum(exponents), dim)[exponents]
 
 
 def veronese_lift(x, degree: int) -> np.ndarray:

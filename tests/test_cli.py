@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from util import polynomial_from_text
 
 import gpca
 from gpca.cli import main
 from gpca.metrics import matched_accuracy
 from gpca.motion import synthetic_translations, write_tracks
-from gpca.polynomial import from_text
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src/gpca/schemas/report.schema.json").read_text()
@@ -94,7 +94,7 @@ class TestSegment:
         report_path = tmp_path / "report.json"
         main(["segment", "--data", str(dataset), "--n", "2", "--out", str(report_path)])
         report = json.loads(report_path.read_text())
-        polys = [from_text(text) for text in report["vanishing_basis"]]
+        polys = [polynomial_from_text(text) for text in report["vanishing_basis"]]
         assert len(polys) == 2
         assert all(p.degree == 2 and p.dim == 3 for p in polys)
 
@@ -193,6 +193,15 @@ class TestDiscover:
             for row in rng.standard_normal((300, 3)):
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
         assert main(["discover", "--data", str(full), "--n-max", "2"]) == 4
+
+    def test_many_candidate_subspaces_end(self, tmp_path):
+        # up to 40 lines in the plane: the match must not visit all 2^n subsets
+        planar = tmp_path / "planar.csv"
+        _write_rows(planar, gpca.generate(gpca.ArrangementSpec(2, (1, 1, 1), 60, 0.0, seed=0))[0])
+        argv = ["discover", "--data", str(planar), "--n-max", "40"]
+        env = {**os.environ, "PYTHONPATH": str(Path(gpca.__file__).resolve().parents[1])}
+        result = subprocess.run([sys.executable, "-m", "gpca.cli", *argv], env=env, timeout=60)
+        assert result.returncode in (0, 4)
 
     def test_report_text_deterministic(self, dataset, tmp_path):
         a = tmp_path / "a.txt"
@@ -429,6 +438,7 @@ def _input_files(folder):
     files = {"good": X, "nan": X.copy(), "inf": X.copy(), "column": X[:, :1]}
     files.update(corr=corr, nan_corr=corr.copy(), still=np.tile([1.0, 2.0, 1.0, 2.0], (9, 1)))
     files.update(point=X[:1], one_corr=corr[:1])
+    files["wide"] = np.random.default_rng(1).standard_normal((50, 40))
     files["nan"][3, 1] = np.nan
     files["inf"][5, 0] = -np.inf
     files["nan_corr"][4, 2] = np.nan
@@ -509,6 +519,7 @@ class TestInputValidation:
             ["generate", "--spec", "{spec_crowded}", "--out", "{out}"],
             ["generate", "--spec", "{spec_inf_noise}", "--out", "{out}"],
             ["generate", "--spec", "{spec_nan_noise}", "--out", "{out}"],
+            ["segment", "--data", "{wide}", "--n", "40"],
         ],
     )
     def test_rejected_with_exit_2(self, argv, tmp_path, capsys):
@@ -661,3 +672,10 @@ class TestImport:
             timeout=60,
         )
         assert result.stdout.strip() == "[]"
+
+    def test_tracer_finds_every_traced_name(self):
+        # bench/tracer.py wraps gpca functions looked up by name
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": f"{root / 'src'}{os.pathsep}{root / 'bench'}"}
+        code = "import tracer; tracer.install(tracer.Tracer())"
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)

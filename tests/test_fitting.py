@@ -1,8 +1,16 @@
 """Embedded data matrices, rank selection, and vanishing-polynomial fits."""
 
+from itertools import combinations, combinations_with_replacement
+
 import numpy as np
 import pytest
-from util import intro_quadratic_basis, line_and_plane, lines_plus_plane, product_basis
+from util import (
+    intro_quadratic_basis,
+    line_and_plane,
+    lines_plus_plane,
+    product_basis,
+    product_of_linear_forms,
+)
 
 from gpca._linalg import max_principal_angle
 from gpca.errors import DegenerateDataError
@@ -15,9 +23,8 @@ from gpca.fitting import (
     hilbert_nullity,
     select_rank,
 )
-from gpca.polynomial import product_of_linear_forms
 from gpca.synthgen import generate, ArrangementSpec
-from gpca.veronese import veronese_lift
+from gpca.veronese import monomial_count, veronese_lift
 
 
 def coefficient_span_angle(basis_a, basis_b):
@@ -233,6 +240,16 @@ class TestHilbertNullity:
     @pytest.mark.parametrize("D, n", [(2, 3), (3, 1), (3, 4), (5, 2), (6, 4)])
     def test_generic_hyperplanes_leave_their_product(self, D, n):
         assert hilbert_nullity((D - 1,) * n, D, n) == 1
+
+    @pytest.mark.parametrize("D", range(2, 7))
+    def test_equals_the_sum_over_all_subsets(self, D):
+        grid = (c for n in range(1, 6) for c in combinations_with_replacement(range(1, D), n))
+        for dims in grid:
+            subsets = [s for size in range(len(dims) + 1) for s in combinations(dims, size)]
+            meets = [(len(s), sum(s) - (len(s) - 1) * D) for s in subsets]
+            for degree in range(1, 7):
+                full = sum((-1) ** size * monomial_count(degree, m) for size, m in meets if m > 0)
+                assert hilbert_nullity(dims, D, degree) == full
 
     def test_line_plane_and_solid_in_r5(self):
         assert hilbert_nullity((1, 2, 3), 5, 3) == 20

@@ -9,6 +9,7 @@ from util import (
     brute_force_distance,
     intro_quadratic_basis,
     line_and_plane,
+    peel,
     product_basis,
 )
 
@@ -24,7 +25,6 @@ from gpca.segmentation import (
     algebraic_distance2,
     assign,
     model_at_point,
-    peel,
     reject_outliers,
     segment,
     select_point,
@@ -196,9 +196,7 @@ class TestModelAtPoint:
 class TestPeel:
     def test_intro_peel_leaves_line_polynomials(self):
         X, _, _ = line_and_plane(points_per=100)
-        em = embed(X, 2)
-        P = fit_vanishing(em)[0]
-        lower = peel(P, PLANE_MODEL, em)
+        lower = peel(embed(X, 2), PLANE_MODEL)
         assert lower.degree == 1
         coeffs = lower.coefficients
         # spans {x1, x2}: no x3 content
@@ -206,9 +204,7 @@ class TestPeel:
 
     def test_two_planes_peel_to_remaining_normal(self):
         X, models, _ = generate(ArrangementSpec(3, (2, 2), 120, 0.0, seed=3))
-        em = embed(X, 2)
-        P = fit_vanishing(em)[0]
-        lower = peel(P, models[0], em)
+        lower = peel(embed(X, 2), models[0])
         assert len(lower) == 1
         normal = lower.coefficients[0]
         assert vector_angle(normal, models[1].complement_basis[:, 0]) < 1e-8
@@ -217,7 +213,7 @@ class TestPeel:
         X, _, _ = generate(ArrangementSpec(3, (2, 2, 2), 150, 0.01, seed=6))
         seg = segment(X, 3)
         em = embed(X, 3)
-        lower = peel(fit_vanishing(em)[0], seg.models[0], em)
+        lower = peel(em, seg.models[0])
         model = model_at_point(lower, em.points[seg.stages[1].picked_index])
         assert model.dim == seg.models[1].dim
         assert np.array_equal(model.complement_basis, seg.models[1].complement_basis)
@@ -225,7 +221,6 @@ class TestPeel:
     def test_one_svd_per_peel(self, monkeypatch):
         X, models, _ = generate(ArrangementSpec(3, (2, 2, 2), 150, 0.01, seed=5))
         em = embed(X, 3)
-        P = fit_vanishing(em)[0]
         M, M3 = monomial_count(2, 3), monomial_count(3, 3)
         calls = []
 
@@ -238,7 +233,7 @@ class TestPeel:
 
         monkeypatch.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
         monkeypatch.setattr(np.linalg, "qr", spy("qr", np.linalg.qr))
-        lower = peel(P, models[0], em)
+        lower = peel(em, models[0])
         assert len(lower) == 1
         # the peel stacks the compressed M_3 x M_3 factor of the embedded
         # matrix, never its N columns: one SVD of the (6, 10) stack, too
@@ -268,26 +263,10 @@ class TestPeel:
             assert np.allclose(stacks[-1], expected, rtol=0.0, atol=1e-13 * scale)
         assert [model.complement_basis.shape[1] for model in models] == [4, 3, 2]
 
-    def test_mismatched_basis_or_model_rejected(self):
-        X, models, _ = generate(ArrangementSpec(3, (2, 2, 2), 60, 0.0, seed=5))
-        em2, em3 = embed(X, 2), embed(X, 3)
-        P2, P3 = fit_vanishing(em2)[0], fit_vanishing(em3)[0]
-        with pytest.raises(ValueError):
-            peel(P2, models[0], em3)
-        with pytest.raises(ValueError):
-            peel(P3, models[0], em2)
-        P3_in_4 = PolynomialBasis(3, 4, np.eye(monomial_count(3, 4))[:1])
-        with pytest.raises(ValueError):
-            peel(P3_in_4, models[0], em3)
-        model_in_4 = SubspaceModel(np.eye(4)[:, 3:], 3, np.ones(4))
-        with pytest.raises(ValueError):
-            peel(P3, model_in_4, em3)
-
     def test_peel_consistency_on_remaining_points(self):
         X, models, labels = generate(ArrangementSpec(3, (2, 2, 2), 150, 0.0, seed=5))
         em = embed(X, 3)
-        P = fit_vanishing(em)[0]
-        lower = peel(P, models[0], em)
+        lower = peel(em, models[0])
         remaining = em.points[labels != 0]
         values = np.abs(lower.evaluate(remaining))
         assert values.max() <= 1e-8

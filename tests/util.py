@@ -1,10 +1,13 @@
-"""Shared builders for test arrangements."""
+"""Shared builders for test arrangements, and polynomial oracles."""
 
 import numpy as np
 
 from gpca._linalg import orthonormal_completion
-from gpca.polynomial import HomogeneousPolynomial, PolynomialBasis, product_of_linear_forms
+from gpca.fitting import _null_space_fit
+from gpca.polynomial import HomogeneousPolynomial, PolynomialBasis, basis_gradients, lift_matrix
+from gpca.segmentation import _peel
 from gpca.synthgen import generate_from_bases
+from gpca.veronese import monomial_basis, monomial_count
 
 # Introductory configuration: the z-axis line union the xy-plane.
 LINE_SPAN = np.array([[0.0], [0.0], [1.0]])
@@ -33,10 +36,14 @@ def lines_plus_plane(points_per=200, noise=0.0, seed=11):
     return generate_from_bases([l1, l2, plane], points_per, noise, seed=seed)
 
 
+def monomial_position(exponents, dim):
+    """Row of the exponent tuple in monomial_basis of its degree."""
+    basis = monomial_basis(sum(exponents), dim)
+    return int(np.flatnonzero((basis == np.asarray(exponents)).all(axis=1))[0])
+
+
 def monomial_polynomial(exponents, dim):
     """The single monomial x^exponents as a HomogeneousPolynomial."""
-    from gpca.veronese import monomial_count, monomial_position
-
     degree = sum(exponents)
     coeffs = np.zeros(monomial_count(degree, dim))
     coeffs[monomial_position(exponents, dim)] = 1.0
@@ -47,6 +54,31 @@ def intro_quadratic_basis():
     """The basis {x1*x3, x2*x3} of the line-plus-plane configuration."""
     rows = [monomial_polynomial(e, 3).coefficients for e in ((1, 0, 1), (0, 1, 1))]
     return PolynomialBasis(2, 3, np.vstack(rows))
+
+
+def gradient(p, x):
+    """Gradient of one polynomial: the one-row basis_gradients, (D,) or (N, D)."""
+    return basis_gradients(PolynomialBasis(p.degree, p.dim, p.coefficients[None, :]), x)[..., 0]
+
+
+def product_of_linear_forms(normals):
+    """Polynomial vanishing on the union of the hyperplanes b_i^T x = 0."""
+    coeffs = np.asarray(normals[0], dtype=float)
+    for degree, b in enumerate(normals[1:], start=2):
+        coeffs = coeffs @ lift_matrix(b, degree)
+    return HomogeneousPolynomial(len(normals), len(normals[0]), coeffs)
+
+
+def peel(embedded, model):
+    """The vanishing basis one degree down once `model` is divided out, as in `segment`."""
+    left, sv = _peel(embedded.left_vectors, embedded.singular_values, embedded.degree, model)
+    return _null_space_fit(left, sv, embedded.degree - 1, embedded.dim)[0]
+
+
+def polynomial_from_text(text):
+    """Parse `to_text` output: a `degree dim` line, then the coefficients."""
+    header, coeffs = text.splitlines()
+    return HomogeneousPolynomial(*map(int, header.split()), np.array(coeffs.split(), dtype=float))
 
 
 def product_basis(spans, degree=None):
