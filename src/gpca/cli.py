@@ -8,8 +8,9 @@ need at least 2 coordinates, counts are at least 1, focal is positive,
 outlier levels lie inside (0, 1), and motion needs a moving correspondence
 or at least 5 tracks of 3 frames. `segment` and `motion` need at least
 `fitting.min_samples(n, D)` points for n subspaces in R^D. A generate spec
-or experiment config holds no key beyond the ones its command reads, and
-its seed is not negative.
+or experiment config holds no key beyond the ones its command reads, no
+float, bool or string where an integer is read, no string where a list is
+read, and no negative seed.
 """
 
 from __future__ import annotations
@@ -36,7 +37,14 @@ from .motion import (
 )
 from .polynomial import to_text
 from .segmentation import reject_outliers, segment
-from .synthgen import ArrangementSpec, generate, generate_from_bases, load_dataset, save_dataset
+from .synthgen import (
+    ArrangementSpec,
+    as_tuple,
+    generate,
+    generate_from_bases,
+    load_dataset,
+    save_dataset,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -131,28 +139,30 @@ def _read_object(path, what, keys):
     return raw
 
 
+def _spec_bases(bases, spec):
+    """A spec's explicit bases: one (ambient_dim, d) matrix of rank d per dim."""
+    bases = [np.array(b, dtype=float) for b in as_tuple(bases, "bases")]
+    shapes = [(spec.ambient_dim, d) for d in spec.dims]
+    if [b.shape for b in bases] != shapes or any(
+        np.linalg.matrix_rank(b) < b.shape[1] for b in bases
+    ):
+        raise ValueError(f"bases must have shapes {shapes}, each of full column rank")
+    return bases
+
+
 def cmd_generate(args) -> int:
     keys = [f.name for f in fields(ArrangementSpec)] + ["bases"]
-    spec_data = _read_object(args.spec, "spec", keys)
+    raw = _read_object(args.spec, "spec", keys)
+    bases = raw.pop("bases", None)
     try:
-        bases = spec_data.pop("bases", None)
-        spec = ArrangementSpec(
-            ambient_dim=int(spec_data["ambient_dim"]),
-            dims=tuple(spec_data["dims"]),
-            points_per_subspace=int(spec_data["points_per_subspace"]),
-            noise_sigma=float(spec_data.get("noise_sigma", 0.0)),
-            seed=int(spec_data.get("seed", 0)),
-        )
-        if bases is not None:
-            X, models, labels = generate_from_bases(
-                [np.array(b, dtype=float) for b in bases],
-                spec.points_per_subspace,
-                spec.noise_sigma,
-                seed=spec.seed,
-            )
-        else:
+        spec = ArrangementSpec(**raw)
+        if bases is None:
             X, models, labels = generate(spec)
-    except (KeyError, TypeError, ValueError) as exc:
+        else:
+            X, models, labels = generate_from_bases(
+                _spec_bases(bases, spec), spec.points_per_subspace, spec.noise_sigma, spec.seed
+            )
+    except (TypeError, ValueError) as exc:
         raise InputError(f"bad arrangement spec: {exc}") from exc
     csv_path, json_path = save_dataset(args.out, X, models, labels, spec)
     print(f"wrote {csv_path} and {json_path}")
@@ -229,17 +239,8 @@ def cmd_experiment(args) -> int:
         args.config, "experiment config", [f.name for f in fields(ExperimentConfig)]
     )
     try:
-        config = ExperimentConfig(
-            algorithms=tuple(raw["algorithms"]),
-            noise_grid=tuple(raw["noise_grid"]),
-            trials=int(raw["trials"]),
-            n=int(raw["n"]),
-            ambient_dim=int(raw.get("ambient_dim", 3)),
-            dims=tuple(raw["dims"]) if "dims" in raw else None,
-            points_per_subspace=int(raw.get("points_per_subspace", 200)),
-            seed=int(raw.get("seed", 0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        config = ExperimentConfig(**raw)
+    except (TypeError, ValueError) as exc:
         raise InputError(f"bad experiment config: {exc}") from exc
     rows = run_experiment(config)
     _write_text(rows_to_csv(rows), args.out)

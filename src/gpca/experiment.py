@@ -1,16 +1,20 @@
 """Deterministic benchmark harness: algorithm roster over a noise grid.
 
-Each (algorithm, noise, trial) cell regenerates the arrangement from a
-per-trial seed, runs the algorithm (possibly warm-started by the algebraic
-segmentation), and reports angle error, classification rate, iteration
-count, and wall time. Rows are deterministic under a fixed master seed
-except for the wall-time column.
+Each (noise, trial) cell regenerates the arrangement from a per-trial seed
+and runs every roster entry on it. An entry is a `+`-chain of stages, such
+as "gpca+ksub+em": each stage starts from the models of the chain before
+it, and only the first stage draws from the entry's seed. Every distinct
+prefix runs once per cell, so "gpca" and "gpca+ksub" are shared by the
+entries that extend them, and each row is charged the time of all its
+stages. Rows report angle error, classification rate, the last stage's
+iteration count and wall time; they are deterministic under a fixed master
+seed except for the wall-time column.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,18 +22,11 @@ from .baselines import IterativeConfig, em_mixture_pca, k_subspaces
 from .errors import FitError, InputError
 from .metrics import matched_accuracy
 from .segmentation import segment
-from .synthgen import ArrangementSpec, angle_error, generate
+from .synthgen import ArrangementSpec, angle_error, as_int, as_real, as_tuple, generate
 
 __all__ = ["ALGORITHMS", "ExperimentConfig", "TrialRow", "run_experiment", "rows_to_csv"]
 
-ALGORITHMS = (
-    "gpca",
-    "ksub",
-    "em",
-    "gpca+ksub",
-    "gpca+em",
-    "gpca+ksub+em",
-)
+ALGORITHMS = ("gpca", "ksub", "em", "gpca+ksub", "gpca+em", "gpca+ksub+em")
 
 
 @dataclass(frozen=True)
@@ -46,11 +43,18 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        object.__setattr__(self, "noise_grid", tuple(float(s) for s in self.noise_grid))
+        for name in ("trials", "n", "ambient_dim", "points_per_subspace", "seed"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        object.__setattr__(self, "algorithms", as_tuple(self.algorithms, "algorithms"))
+        grid = as_tuple(self.noise_grid, "noise_grid")
+        object.__setattr__(self, "noise_grid", tuple(as_real(s, "noise level") for s in grid))
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]
         if unknown:
             raise InputError(f"unknown algorithms {unknown}; roster is {list(ALGORITHMS)}")
+        for name in ("algorithms", "noise_grid"):
+            entries = getattr(self, name)
+            if not entries or len(set(entries)) < len(entries):
+                raise InputError(f"{name} must be a non-empty list without repeats")
         if self.trials < 1:
             raise InputError("trials must be at least 1")
         if not all(np.isfinite(s) and s >= 0 for s in self.noise_grid):
@@ -62,7 +66,7 @@ class ExperimentConfig:
         dims = self.dims
         if dims is None:
             dims = (self.ambient_dim - 1,) * self.n
-        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
+        object.__setattr__(self, "dims", tuple(as_int(d, "dim") for d in as_tuple(dims, "dims")))
         if len(self.dims) != self.n:
             raise InputError(f"{len(self.dims)} dims for n={self.n}")
         if any(not 0 < d < self.ambient_dim for d in self.dims):
@@ -90,45 +94,42 @@ def _trial_seed(master: int, sigma_index: int, trial: int) -> np.random.SeedSequ
     return np.random.SeedSequence(master, spawn_key=(sigma_index, trial))
 
 
-def _run_algorithm(name, X, true_models, true_labels, config, seed_seq, warm):
-    """(error_degrees, classification_pct, iterations); `warm` is the cell's gpca result."""
-    n = config.n
-    dims = config.dims
-    iter_seed = int(seed_seq.generate_state(1)[0])
-    base_cfg = IterativeConfig(seed=iter_seed)
+def _run_stage(stage, X, config, iterative):
+    """(segmentation, iterations) of one stage; gpca counts no iterations."""
+    if stage == "gpca":
+        return segment(X, config.n), 0
+    if stage == "ksub":
+        return k_subspaces(X, config.n, config.dims, iterative)
+    seg, _, iterations = em_mixture_pca(X, config.n, config.dims, config=iterative)
+    return seg, iterations
 
-    def finish(seg, iterations):
-        return (
-            angle_error(true_models, seg.models),
-            100.0 * matched_accuracy(true_labels, seg.labels, size=n),
-            iterations,
-        )
 
-    if name == "ksub":
-        seg, iters = k_subspaces(X, n, dims, base_cfg)
-        return finish(seg, iters)
-    if name == "em":
-        seg, _, iters = em_mixture_pca(X, n, dims, config=base_cfg)
-        return finish(seg, iters)
+def _run_chain(name, X, config, iter_seed, done):
+    """(segmentation or FitError, iterations, seconds) of chain `name`, kept in `done`.
 
-    if isinstance(warm, FitError):
-        raise warm
-    if name == "gpca":
-        return finish(warm, 0)
-    warm_cfg = replace(base_cfg, init_models=warm.models)
-    if name == "gpca+ksub":
-        seg, iters = k_subspaces(X, n, dims, warm_cfg)
-        return finish(seg, iters)
-    if name == "gpca+em":
-        seg, _, iters = em_mixture_pca(X, n, dims, config=warm_cfg)
-        return finish(seg, iters)
-    if name == "gpca+ksub+em":
-        mid, _ = k_subspaces(X, n, dims, warm_cfg)
-        seg, _, iters = em_mixture_pca(
-            X, n, dims, config=replace(base_cfg, init_models=mid.models)
-        )
-        return finish(seg, iters)
-    raise InputError(f"unknown algorithm {name!r}")
+    "a+b" runs stage b warm-started from chain a's models, and its seconds
+    include chain a's. A failed prefix fails every chain that extends it.
+    The seed reaches only a first stage: a warm-started stage ignores it,
+    so a cached prefix is the one its own roster entry would have run.
+    """
+    if name not in done:
+        prefix, _, stage = name.rpartition("+")
+        warm, _, seconds = (None, 0, 0.0)
+        if prefix:
+            warm, _, seconds = _run_chain(prefix, X, config, iter_seed, done)
+        start = time.perf_counter()
+        if isinstance(warm, FitError):
+            seg, iterations = warm, None
+        else:
+            iterative = IterativeConfig(
+                seed=iter_seed, init_models=None if warm is None else warm.models
+            )
+            try:
+                seg, iterations = _run_stage(stage, X, config, iterative)
+            except FitError as exc:
+                seg, iterations = exc, None
+        done[name] = (seg, iterations, seconds + time.perf_counter() - start)
+    return done[name]
 
 
 def run_experiment(config: ExperimentConfig) -> list[TrialRow]:
@@ -147,54 +148,24 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRow]:
                 seed=gen_seed,
             )
             X, true_models, true_labels = generate(spec)
-            # One gpca segmentation (or its FitError) per cell; every gpca row and
-            # gpca+* row reuses it and is charged its time.
-            warm, warm_s = None, 0.0
-            if any(name.startswith("gpca") for name in config.algorithms):
-                start = time.perf_counter()
-                try:
-                    warm = segment(X, config.n)
-                except FitError as exc:
-                    warm = exc
-                warm_s = time.perf_counter() - start
-            for algo_index, name in enumerate(config.algorithms):
-                start = time.perf_counter() - (warm_s if name.startswith("gpca") else 0.0)
-                try:
-                    error, classification, iterations = _run_algorithm(
-                        name, X, true_models, true_labels, config, children[algo_index + 1], warm
-                    )
-                    rows.append(
-                        TrialRow(
-                            kind="trial",
-                            algorithm=name,
-                            sigma=sigma,
-                            trial=trial,
-                            error_degrees=error,
-                            classification_pct=classification,
-                            iterations=iterations,
-                            wall_time_s=time.perf_counter() - start,
-                        )
-                    )
-                except FitError as exc:
-                    rows.append(
-                        TrialRow(
-                            kind="trial",
-                            algorithm=name,
-                            sigma=sigma,
-                            trial=trial,
-                            error_degrees=None,
-                            classification_pct=None,
-                            iterations=None,
-                            wall_time_s=time.perf_counter() - start,
-                            status=f"failed: {exc}",
-                        )
-                    )
+            done = {}
+            for child, name in zip(children[1:], config.algorithms):
+                iter_seed = int(child.generate_state(1)[0])
+                seg, iterations, seconds = _run_chain(name, X, config, iter_seed, done)
+                if isinstance(seg, FitError):
+                    scores, status = (None, None, None), f"failed: {seg}"
+                else:
+                    accuracy = matched_accuracy(true_labels, seg.labels, size=config.n)
+                    scores = (angle_error(true_models, seg.models), 100.0 * accuracy, iterations)
+                    status = "ok"
+                rows.append(TrialRow("trial", name, sigma, trial, *scores, seconds, status))
     rows.extend(_summaries(config, rows))
     return rows
 
 
 def _summaries(config, rows):
     """One "mean" row per (sigma, algorithm) cell over its successful trial rows."""
+    measures = ("error_degrees", "classification_pct", "iterations", "wall_time_s")
     out = []
     for sigma in config.noise_grid:
         for name in config.algorithms:
@@ -203,54 +174,28 @@ def _summaries(config, rows):
                 for r in rows
                 if (r.kind, r.algorithm, r.sigma, r.status) == ("trial", name, sigma, "ok")
             ]
-            if not cell:
-                continue
-            out.append(
-                TrialRow(
-                    kind="mean",
-                    algorithm=name,
-                    sigma=sigma,
-                    trial=-1,
-                    error_degrees=float(np.mean([r.error_degrees for r in cell])),
-                    classification_pct=float(
-                        np.mean([r.classification_pct for r in cell])
-                    ),
-                    iterations=float(np.mean([r.iterations for r in cell])),
-                    wall_time_s=float(np.mean([r.wall_time_s for r in cell])),
-                )
-            )
+            if cell:
+                means = [float(np.mean([getattr(r, m) for r in cell])) for m in measures]
+                out.append(TrialRow("mean", name, sigma, -1, *means))
     return out
 
 
 def rows_to_csv(rows) -> str:
-    """Render rows as CSV with shortest round-trip float formatting."""
-    header = (
-        "kind,algorithm,sigma,trial,error_degrees,classification_pct,"
-        "iterations,wall_time_s,status"
-    )
+    """Render rows as CSV, one column per `TrialRow` field, floats shortest round-trip.
+
+    A comma inside a text field (only a failure status holds one) becomes ";".
+    """
+    names = [f.name for f in fields(TrialRow)]
 
     def fmt(value):
         if value is None:
             return ""
         if isinstance(value, float):
             return repr(value)
+        if isinstance(value, str):
+            return value.replace(",", ";")
         return str(value)
 
-    lines = [header]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.kind,
-                    r.algorithm,
-                    fmt(r.sigma),
-                    str(r.trial),
-                    fmt(r.error_degrees),
-                    fmt(r.classification_pct),
-                    fmt(r.iterations),
-                    fmt(r.wall_time_s),
-                    r.status.replace(",", ";"),
-                ]
-            )
-        )
+    lines = [",".join(names)]
+    lines.extend(",".join(fmt(getattr(r, name)) for name in names) for r in rows)
     return "\n".join(lines) + "\n"

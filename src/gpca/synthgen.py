@@ -27,6 +27,27 @@ _MIN_PAIRWISE_ANGLE = np.deg2rad(10.0)
 _MAX_REJECTIONS = 1000
 
 
+def as_int(value, name):
+    """`value` as an int; a bool, a float or a string is a TypeError, not rounded."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def as_real(value, name):
+    """`value` as a float; a bool or a string is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def as_tuple(value, name):
+    """`value` as a tuple; a string or a scalar is a TypeError, not split or wrapped."""
+    if isinstance(value, (str, bytes)) or not np.iterable(value):
+        raise TypeError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class ArrangementSpec:
     """Recipe for a random union of subspaces with optional normal-space noise."""
@@ -38,7 +59,11 @@ class ArrangementSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        for name in ("ambient_dim", "points_per_subspace", "seed"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        object.__setattr__(self, "noise_sigma", as_real(self.noise_sigma, "noise_sigma"))
+        dims = as_tuple(self.dims, "dims")
+        object.__setattr__(self, "dims", tuple(as_int(d, "dim") for d in dims))
         if not self.dims:
             raise ValueError("need at least one subspace")
         if any(not 0 < d < self.ambient_dim for d in self.dims):

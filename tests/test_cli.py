@@ -462,6 +462,14 @@ def _input_files(folder):
         "config_typo": {"seeed": 3},
         "config_kappa": {"kappa": 1e-6},
         "config_seed": {"seed": -1},
+        "config_text_grid": {"noise_grid": "0"},
+        "config_float_trials": {"trials": 1.9},
+        "config_no_algorithms": {"algorithms": []},
+        "config_no_noise": {"noise_grid": []},
+        "config_repeats": {"algorithms": ["gpca", "gpca"], "noise_grid": [0.01, 0.01]},
+        "config_repeated_algorithm": {"algorithms": ["gpca", "ksub", "gpca"]},
+        "config_repeated_noise": {"noise_grid": [0.0, 0.01, 0.0]},
+        "config_new_chain": {"algorithms": ["ksub+em"]},
     }
     spec = {"ambient_dim": 2, "dims": [1, 1], "points_per_subspace": 5}
     specs = {
@@ -472,6 +480,18 @@ def _input_files(folder):
         "spec_crowded": {"dims": [1] * 50},
         "spec_inf_noise": {"noise_sigma": float("inf")},
         "spec_nan_noise": {"noise_sigma": float("nan")},
+        "spec_text_dims": {"ambient_dim": 3, "dims": "22"},
+        "spec_float_dim": {"ambient_dim": 3.9, "dims": [2, 2]},
+        "spec_bool_seed": {"seed": True},
+        "spec_float_seed": {"seed": -0.5},
+        "spec_null_dims": {"dims": None},
+        "spec_other_bases": {
+            "ambient_dim": 3,
+            "dims": [1],
+            "points_per_subspace": 4,
+            "bases": [[[1, 0], [0, 1], [0, 0], [0, 0]], [[0], [0], [1], [1]]],
+        },
+        "spec_dependent_bases": {"dims": [1, 1], "bases": [[[0], [0]], [[1], [1]]]},
     }
     for name, fields in configs.items():
         paths[name] = str(folder / f"{name}.json")
@@ -520,6 +540,21 @@ class TestInputValidation:
             ["generate", "--spec", "{spec_inf_noise}", "--out", "{out}"],
             ["generate", "--spec", "{spec_nan_noise}", "--out", "{out}"],
             ["segment", "--data", "{wide}", "--n", "40"],
+            ["generate", "--spec", "{spec_text_dims}", "--out", "{out}"],
+            ["generate", "--spec", "{spec_float_dim}", "--out", "{out}"],
+            ["generate", "--spec", "{spec_bool_seed}", "--out", "{out}"],
+            ["generate", "--spec", "{spec_float_seed}", "--out", "{out}"],
+            ["generate", "--spec", "{spec_null_dims}", "--out", "{out}"],
+            ["generate", "--spec", "{spec_other_bases}", "--out", "{out}"],
+            ["generate", "--spec", "{spec_dependent_bases}", "--out", "{out}"],
+            ["experiment", "--config", "{config_text_grid}"],
+            ["experiment", "--config", "{config_float_trials}"],
+            ["experiment", "--config", "{config_no_algorithms}"],
+            ["experiment", "--config", "{config_no_noise}"],
+            ["experiment", "--config", "{config_repeats}"],
+            ["experiment", "--config", "{config_repeated_algorithm}"],
+            ["experiment", "--config", "{config_repeated_noise}"],
+            ["experiment", "--config", "{config_new_chain}"],
         ],
     )
     def test_rejected_with_exit_2(self, argv, tmp_path, capsys):
