@@ -1,6 +1,6 @@
 """Subspace segmentation by fitting, differentiating, and dividing polynomials."""
 
-from .baselines import IterativeConfig, em_mixture_pca, k_subspaces
+from .baselines import em_mixture_pca, k_subspaces
 from .discovery import (
     DiscoveryReport,
     count_hyperplanes,

@@ -8,47 +8,18 @@ either seeded random bases or a list of already-fitted models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._linalg import orthonormal_completion
 from .errors import FitError
 from .segmentation import Segmentation, SubspaceModel, assign
 
-__all__ = ["IterativeConfig", "k_subspaces", "em_mixture_pca"]
+__all__ = ["MAX_ITERS", "TOL", "k_subspaces", "em_mixture_pca"]
 
+# Iteration cap and absolute objective tolerance of both algorithms.
+MAX_ITERS = 300
+TOL = 1e-9
 _VARIANCE_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class IterativeConfig:
-    """Shared knobs: iteration cap, absolute objective tolerance, and init.
-
-    When `init_models` is given it takes priority over the seed; bases are
-    reshaped to the requested per-subspace dimensions if they disagree.
-    """
-
-    max_iters: int = 300
-    tol: float = 1e-9
-    seed: int = 0
-    init_models: tuple[SubspaceModel, ...] | None = None
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.init_models is not None:
-            object.__setattr__(self, "init_models", tuple(self.init_models))
-
-
-def _random_complements(rng, D, dims):
-    bases = []
-    for d in dims:
-        mat, _ = np.linalg.qr(rng.standard_normal((D, D - d)))
-        bases.append(mat)
-    return bases
 
 
 def _resize_complement(B, D, d):
@@ -62,19 +33,37 @@ def _resize_complement(B, D, d):
     return np.hstack([B, extra[:, : want - B.shape[1]]])
 
 
-def _initial_bases(X, n, dims, config):
+def _start(X, dims, seed, init_models):
+    """Float X, int dims, and init models' complements resized to dims, else seeded random ones."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    dims = [int(d) for d in dims]
+    if not dims:
+        raise ValueError("need at least one subspace")
     D = X.shape[1]
-    if config.init_models is not None:
-        if len(config.init_models) != n:
-            raise ValueError(
-                f"{len(config.init_models)} init models for {n} subspaces"
-            )
-        return [
-            _resize_complement(np.asarray(m.complement_basis, dtype=float), D, d)
-            for m, d in zip(config.init_models, dims)
-        ]
-    rng = np.random.default_rng(config.seed)
-    return _random_complements(rng, D, dims)
+    if init_models is None:
+        rng = np.random.default_rng(seed)
+        return X, dims, [np.linalg.qr(rng.standard_normal((D, D - d)))[0] for d in dims]
+    if len(init_models) != len(dims):
+        raise ValueError(f"{len(init_models)} init models for {len(dims)} subspaces")
+    return X, dims, [
+        _resize_complement(np.asarray(m.complement_basis, dtype=float), D, d)
+        for m, d in zip(init_models, dims)
+    ]
+
+
+def _finish(X, bases, dims, labels) -> Segmentation:
+    """The models of the final bases, each shown by its best-fit member, and their assignment."""
+    models = []
+    for cluster, (B, d) in enumerate(zip(bases, dims)):
+        member = np.flatnonzero(labels == cluster)
+        if member.size:
+            res = np.linalg.norm(X[member] @ B, axis=1)
+            representative = X[member[int(np.argmin(res))]]
+        else:
+            representative = np.zeros(X.shape[1])
+        models.append(SubspaceModel(complement_basis=B, dim=d, representative=representative))
+    models = tuple(models)
+    return Segmentation(models, *assign(X, models))
 
 
 def _complement_from_cluster(points, d, D, weights=None):
@@ -136,35 +125,27 @@ def _residual_matrix(X, bases):
     return np.column_stack([np.linalg.norm(X @ B, axis=1) for B in bases])
 
 
-def k_subspaces(
-    X,
-    n: int,
-    dims,
-    config: IterativeConfig = IterativeConfig(),
-    objective_history: list | None = None,
-):
+def k_subspaces(X, dims, *, seed=0, init_models=None, objective_history: list | None = None):
     """Alternating assignment and per-cluster PCA refit.
 
     Returns (Segmentation, iterations). The objective, the sum of squared
     complement residuals at the assigned subspaces, never increases: the
     refit step is optimal per cluster and the assignment step is a pointwise
-    argmin. Stops at a label fixpoint, objective stall, or max_iters.
-    Pass a list as `objective_history` to collect the per-iteration values.
+    argmin. Stops at a label fixpoint, an objective change of at most TOL,
+    or MAX_ITERS. One subspace per entry of `dims`; `init_models` take
+    priority over `seed`. Pass a list as `objective_history` to collect
+    the per-iteration values.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    dims = [int(d) for d in (dims if np.iterable(dims) else [dims] * n)]
-    if len(dims) != n:
-        raise ValueError(f"{len(dims)} dims for {n} subspaces")
+    X, dims, bases = _start(X, dims, seed, init_models)
     N, D = X.shape
-    bases = _initial_bases(X, n, dims, config)
     residuals = _residual_matrix(X, bases)
     labels = np.argmin(residuals, axis=1)
     objective = float((residuals[np.arange(N), labels] ** 2).sum())
     if objective_history is not None:
         objective_history.append(objective)
     iterations = 0
-    for iterations in range(1, config.max_iters + 1):
-        for cluster in range(n):
+    for iterations in range(1, MAX_ITERS + 1):
+        for cluster in range(len(dims)):
             member = labels == cluster
             if not member.any():
                 point_res = residuals[np.arange(N), labels]
@@ -176,45 +157,41 @@ def k_subspaces(
         new_objective = float((residuals[np.arange(N), new_labels] ** 2).sum())
         if objective_history is not None:
             objective_history.append(new_objective)
-        done = np.array_equal(new_labels, labels) or abs(objective - new_objective) <= config.tol
+        done = np.array_equal(new_labels, labels) or abs(objective - new_objective) <= TOL
         labels = new_labels
         objective = new_objective
         if done:
             break
-    models = _models_from_bases(X, bases, dims, labels)
-    final_labels, final_residuals = assign(X, models)
-    return (
-        Segmentation(models=models, labels=final_labels, residuals=final_residuals),
-        iterations,
-    )
+    return _finish(X, bases, dims, labels), iterations
 
 
 def em_mixture_pca(
     X,
-    n: int,
     dims,
     noise_variance: float = 1e-2,
-    config: IterativeConfig = IterativeConfig(),
+    *,
+    seed=0,
+    init_models=None,
     likelihood_history: list | None = None,
 ):
     """EM for a mixture of PCA models with isotropic complement noise.
 
-    Each component is a subspace plus zero-mean Gaussian noise in the
-    directions orthogonal to it. The E-step computes responsibilities from
-    the complement residual likelihoods; the M-step refits each complement
-    by responsibility-weighted PCA and updates mixing weights and variances.
+    A variant of the mixture of probabilistic PCA of Tipping & Bishop
+    (Neural Computation, 1999): each component is a subspace plus zero-mean
+    Gaussian noise in the directions orthogonal to it. The E-step computes
+    responsibilities from the complement residual likelihoods; the M-step
+    refits each complement by responsibility-weighted PCA and updates
+    mixing weights and variances.
     Returns (Segmentation, responsibilities, iterations); the observed-data
-    log-likelihood is non-decreasing across iterations. Pass a list as
-    `likelihood_history` to collect the per-iteration values.
+    log-likelihood is non-decreasing, and a change of at most TOL or
+    MAX_ITERS stops it. Other arguments are as for `k_subspaces`; pass a
+    list as `likelihood_history` to collect the per-iteration values.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    dims = [int(d) for d in (dims if np.iterable(dims) else [dims] * n)]
-    if len(dims) != n:
-        raise ValueError(f"{len(dims)} dims for {n} subspaces")
-    if noise_variance <= 0:
-        raise ValueError("noise variance must be positive")
+    if not (np.isfinite(noise_variance) and noise_variance > 0):
+        raise ValueError(f"noise variance must be finite and positive, got {noise_variance}")
+    X, dims, bases = _start(X, dims, seed, init_models)
     N, D = X.shape
-    bases = _initial_bases(X, n, dims, config)
+    n = len(dims)
     codims = np.array([D - d for d in dims], dtype=float)
     sigma2 = np.full(n, float(noise_variance))
     weights = np.full(n, 1.0 / n)
@@ -222,7 +199,7 @@ def em_mixture_pca(
     iterations = 0
     responsibilities = np.full((N, n), 1.0 / n)
     residual2 = np.column_stack([np.sum((X @ B) ** 2, axis=1) for B in bases])
-    for iterations in range(1, config.max_iters + 1):
+    for iterations in range(1, MAX_ITERS + 1):
         log_density = (
             np.log(weights)[None, :]
             - 0.5 * codims[None, :] * np.log(2.0 * np.pi * sigma2)[None, :]
@@ -252,30 +229,9 @@ def em_mixture_pca(
         weights = np.maximum(mass / N, 1e-300)
         weights = weights / weights.sum()
 
-        if abs(new_log_likelihood - log_likelihood) <= config.tol:
+        if abs(new_log_likelihood - log_likelihood) <= TOL:
             log_likelihood = new_log_likelihood
             break
         log_likelihood = new_log_likelihood
     labels = np.argmax(responsibilities, axis=1)
-    models = _models_from_bases(X, bases, dims, labels)
-    final_labels, final_residuals = assign(X, models)
-    return (
-        Segmentation(models=models, labels=final_labels, residuals=final_residuals),
-        responsibilities,
-        iterations,
-    )
-
-
-def _models_from_bases(X, bases, dims, labels):
-    models = []
-    for cluster, (B, d) in enumerate(zip(bases, dims)):
-        member = np.flatnonzero(labels == cluster)
-        if member.size:
-            res = np.linalg.norm(X[member] @ B, axis=1)
-            representative = X[member[int(np.argmin(res))]]
-        else:
-            representative = np.zeros(X.shape[1])
-        models.append(
-            SubspaceModel(complement_basis=B, dim=int(d), representative=representative)
-        )
-    return tuple(models)
+    return _finish(X, bases, dims, labels), responsibilities, iterations

@@ -6,11 +6,11 @@ codes: 0 success, 2 input error, 3 fit failure, 4 discovery failure.
 Input is checked before any fitting: data values must be finite, points
 need at least 2 coordinates, counts are at least 1, focal is positive,
 outlier levels lie inside (0, 1), and motion needs a moving correspondence
-or at least 5 tracks of 3 frames. `segment` and `motion` need at least
-`fitting.min_samples(n, D)` points for n subspaces in R^D. A generate spec
-or experiment config holds no key beyond the ones its command reads, no
-float, bool or string where an integer is read, no string where a list is
-read, and no negative seed.
+or at least 5 tracks of 3 frames. `segment`, `motion` and a gpca chain of
+`experiment` need at least `fitting.min_samples(n, D)` points for n
+subspaces in R^D. A generate spec or experiment config holds no key beyond
+the ones its command reads, no float, bool or string where an integer is
+read, no string where a list is read, and no negative seed.
 """
 
 from __future__ import annotations
@@ -240,7 +240,7 @@ def cmd_experiment(args) -> int:
     )
     try:
         config = ExperimentConfig(**raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad experiment config: {exc}") from exc
     rows = run_experiment(config)
     _write_text(rows_to_csv(rows), args.out)

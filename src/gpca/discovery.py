@@ -99,15 +99,12 @@ def _node_text(node: DiscoveryNode, pad: str) -> str:
     return desc
 
 
-def project(
-    X, new_dim: int, kind: str = "pca", seed: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Project points to new_dim dimensions, preserving generic arrangements.
+def project(X, new_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Project points onto their new_dim top principal directions.
 
     Returns the read-only (new_dim, D) row-orthonormal map and the (N,
-    new_dim) projected points. "pca" keeps the top principal directions of
-    the data matrix; "random" draws a row-orthonormalized Gaussian map from
-    `seed`.
+    new_dim) projected points. With fewer points than new_dim, the map's
+    last rows complete the point span orthonormally.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     D = X.shape[1]
@@ -115,22 +112,10 @@ def project(
         raise ValueError(f"cannot project {D}-dimensional data up to {new_dim}")
     if new_dim < 1:
         raise ValueError("projection needs at least one dimension")
-    if kind == "pca":
-        left, _ = left_svd(X.T)
-        if left.shape[1] < new_dim:
-            # fewer points than dimensions: complete the point span orthonormally
-            left = np.hstack([left, orthonormal_completion(left)])
-        return _projected(left[:, :new_dim].T, X)
-    if kind != "random":
-        raise ValueError(f"unknown projection kind {kind!r}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    mat, _ = np.linalg.qr(rng.standard_normal((D, new_dim)))
-    return _projected(mat.T, X)
-
-
-def _projected(matrix, X) -> tuple[np.ndarray, np.ndarray]:
-    """A read-only C-ordered copy of the map, and the points it projects."""
-    matrix = matrix.copy()
+    left, _ = left_svd(X.T)
+    if left.shape[1] < new_dim:
+        left = np.hstack([left, orthonormal_completion(left)])
+    matrix = left[:, :new_dim].T.copy()
     matrix.flags.writeable = False
     return matrix, X @ matrix.T
 
@@ -181,7 +166,7 @@ def _match(X, n_max: int, equal_dim: bool):
         raise ValueError("n_max must be at least 1")
     probes: list[RankProbe] = []
     for level in range(X.shape[1] - 1, 0, -1):
-        _, projected = project(X, level + 1, kind="pca")
+        _, projected = project(X, level + 1)
         level_probes = list(_probes(projected, n_max))
         probes.extend(level_probes)
         for n in range(1, n_max + 1):
@@ -216,7 +201,7 @@ def count_hyperplanes(X, n_max: int) -> int:
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     N, D = X.shape
-    _, rotated = project(X, D, kind="pca")
+    _, rotated = project(X, D)
     for probe in _probes(rotated, n_max):
         if probe.nullity >= 1:
             return probe.degree

@@ -18,8 +18,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .baselines import IterativeConfig, em_mixture_pca, k_subspaces
+from .baselines import em_mixture_pca, k_subspaces
 from .errors import FitError, InputError
+from .fitting import min_samples
 from .metrics import matched_accuracy
 from .segmentation import segment
 from .synthgen import ArrangementSpec, angle_error, as_int, as_real, as_tuple, generate
@@ -73,6 +74,13 @@ class ExperimentConfig:
             raise InputError(f"dims must lie strictly between 0 and {self.ambient_dim}")
         if self.points_per_subspace < max(self.dims):
             raise InputError("points_per_subspace must be at least the largest subspace dim")
+        if any(a.startswith("gpca") for a in self.algorithms):
+            N, needed = self.n * self.points_per_subspace, min_samples(self.n, self.ambient_dim)
+            if N < needed:
+                raise InputError(
+                    f"{N} points cannot fit {self.n} subspaces in R^{self.ambient_dim} "
+                    f"by gpca; at least {needed} are needed"
+                )
 
 
 @dataclass(frozen=True)
@@ -94,14 +102,13 @@ def _trial_seed(master: int, sigma_index: int, trial: int) -> np.random.SeedSequ
     return np.random.SeedSequence(master, spawn_key=(sigma_index, trial))
 
 
-def _run_stage(stage, X, config, iterative):
-    """(segmentation, iterations) of one stage; gpca counts no iterations."""
+def _run_stage(stage, X, config, seed, warm):
+    """(segmentation, iterations) of one stage, from `warm`'s models if given; gpca counts none."""
     if stage == "gpca":
         return segment(X, config.n), 0
-    if stage == "ksub":
-        return k_subspaces(X, config.n, config.dims, iterative)
-    seg, _, iterations = em_mixture_pca(X, config.n, config.dims, config=iterative)
-    return seg, iterations
+    fit = k_subspaces if stage == "ksub" else em_mixture_pca
+    result = fit(X, config.dims, seed=seed, init_models=None if warm is None else warm.models)
+    return result[0], result[-1]
 
 
 def _run_chain(name, X, config, iter_seed, done):
@@ -121,11 +128,8 @@ def _run_chain(name, X, config, iter_seed, done):
         if isinstance(warm, FitError):
             seg, iterations = warm, None
         else:
-            iterative = IterativeConfig(
-                seed=iter_seed, init_models=None if warm is None else warm.models
-            )
             try:
-                seg, iterations = _run_stage(stage, X, config, iterative)
+                seg, iterations = _run_stage(stage, X, config, iter_seed, warm)
             except FitError as exc:
                 seg, iterations = exc, None
         done[name] = (seg, iterations, seconds + time.perf_counter() - start)

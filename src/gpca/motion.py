@@ -217,6 +217,8 @@ def read_tracks(path) -> np.ndarray:
         frames, count = (int(tok) for tok in header.split())
     except ValueError as exc:
         raise InputError(f"{path}:{header_no}: header must be `F N`: {exc}") from exc
+    if frames < 1 or count < 0:
+        raise InputError(f"{path}:{header_no}: header `F N` needs F >= 1 and N >= 0")
     body = lines[1:]
     if len(body) != count:
         raise InputError(f"{path}: header promises {count} tracks, found {len(body)}")

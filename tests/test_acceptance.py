@@ -16,12 +16,13 @@ from util import (
     line_and_plane,
     lines_plus_plane,
     product_basis,
+    random_projection,
     two_coordinate_lines,
 )
 
 from gpca._linalg import max_principal_angle, orthonormal_completion, vector_angle
-from gpca.baselines import IterativeConfig, em_mixture_pca, k_subspaces
-from gpca.discovery import discover_equal_dim, project, recursive_segment
+from gpca.baselines import em_mixture_pca, k_subspaces
+from gpca.discovery import discover_equal_dim, recursive_segment
 from gpca.errors import DiscoveryError
 from gpca.experiment import ExperimentConfig, run_experiment
 from gpca.fitting import embed, fit_vanishing, select_rank
@@ -409,10 +410,10 @@ class TestPropertySuites:
         for seed in range(8):
             X, _, _ = generate(ArrangementSpec(3, (2, 2, 2, 2), 150, 0.02, seed=seed))
             history = []
-            k_subspaces(X, 4, [2] * 4, IterativeConfig(seed=seed), history)
+            k_subspaces(X, [2] * 4, seed=seed, objective_history=history)
             ksub_ok &= bool(np.all(np.diff(history) <= 1e-9 * max(history[0], 1.0)))
             history = []
-            em_mixture_pca(X, 4, [2] * 4, 1e-2, IterativeConfig(seed=seed), history)
+            em_mixture_pca(X, [2] * 4, 1e-2, seed=seed, likelihood_history=history)
             em_ok &= bool(
                 np.all(np.diff(history) >= -1e-7 * max(abs(history[-1]), 1.0))
             )
@@ -427,7 +428,7 @@ class TestPropertySuites:
         hits = 0
         trials = 40
         for seed in range(trials):
-            _, projected = project(X, 2, kind="random", seed=seed)
+            projected = random_projection(X, 2, seed)
             try:
                 found = discover_equal_dim(projected, 4)
             except DiscoveryError:

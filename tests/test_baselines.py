@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gpca.baselines import IterativeConfig, em_mixture_pca, k_subspaces
+from gpca.baselines import em_mixture_pca, k_subspaces
 from gpca.errors import FitError
 from gpca.metrics import confusion_matrix, matched_accuracy
 from gpca.segmentation import segment
@@ -16,18 +16,18 @@ FOUR_PLANES = ArrangementSpec(3, (2, 2, 2, 2), 200, 0.02, seed=0)
 class TestKSubspaces:
     def test_truth_init_noiseless_fixpoint(self):
         X, models, labels = generate(ArrangementSpec(3, (2, 2, 2, 2), 200, 0.0, seed=1))
-        seg, iterations = k_subspaces(X, 4, [2] * 4, IterativeConfig(init_models=models))
+        seg, iterations = k_subspaces(X, [2] * 4, init_models=models)
         assert iterations == 1
         assert matched_accuracy(labels, seg.labels) == 1.0
         history = []
-        k_subspaces(X, 4, [2] * 4, IterativeConfig(init_models=models), history)
+        k_subspaces(X, [2] * 4, init_models=models, objective_history=history)
         assert history[-1] == pytest.approx(0.0, abs=1e-20)
 
     def test_objective_monotone_nonincreasing(self):
         for seed in range(12):
             X, _, _ = generate(ArrangementSpec(3, (2, 2, 2, 2), 150, 0.02, seed=seed))
             history = []
-            k_subspaces(X, 4, [2] * 4, IterativeConfig(seed=seed), history)
+            k_subspaces(X, [2] * 4, seed=seed, objective_history=history)
             diffs = np.diff(history)
             assert np.all(diffs <= 1e-9 * max(history[0], 1.0))
 
@@ -36,8 +36,8 @@ class TestKSubspaces:
         for seed in range(12):
             X, _, _ = generate(ArrangementSpec(3, (2, 2, 2, 2), 200, 0.02, seed=100 + seed))
             warm = segment(X, 4)
-            _, a = k_subspaces(X, 4, [2] * 4, IterativeConfig(seed=seed))
-            _, b = k_subspaces(X, 4, [2] * 4, IterativeConfig(init_models=warm.models))
+            _, a = k_subspaces(X, [2] * 4, seed=seed)
+            _, b = k_subspaces(X, [2] * 4, init_models=warm.models)
             rand_iters.append(a)
             warm_iters.append(b)
         assert np.mean(warm_iters) < np.mean(rand_iters)
@@ -46,7 +46,7 @@ class TestKSubspaces:
         stuck = 0
         for seed in range(30):
             X, models, _ = generate(ArrangementSpec(3, (2, 2, 2, 2), 200, 0.0, seed=300 + seed))
-            seg, _ = k_subspaces(X, 4, [2] * 4, IterativeConfig(seed=seed))
+            seg, _ = k_subspaces(X, [2] * 4, seed=seed)
             if angle_error(models, seg.models) > 1e-6:
                 stuck += 1
         assert stuck >= 1
@@ -55,28 +55,30 @@ class TestKSubspaces:
         # two identical initial models leave one cluster empty after assignment
         X, models, _ = generate(ArrangementSpec(3, (2, 2), 100, 0.0, seed=2))
         twin = (models[0], models[0])
-        seg, _ = k_subspaces(X, 2, [2, 2], IterativeConfig(init_models=twin, max_iters=50))
+        seg, _ = k_subspaces(X, [2, 2], init_models=twin)
         assert len(set(seg.labels.tolist())) == 2
 
     def test_dims_validation(self):
-        X = np.random.default_rng(0).standard_normal((20, 3))
+        X, models, _ = generate(ArrangementSpec(3, (2, 2), 10, 0.0, seed=0))
         with pytest.raises(ValueError):
-            k_subspaces(X, 2, [2, 2, 2])
+            k_subspaces(X, [2, 2, 2], init_models=models)
+        with pytest.raises(ValueError):
+            em_mixture_pca(X, [2], init_models=models)
+        with pytest.raises(ValueError):
+            em_mixture_pca(X, [])
 
     def test_reseed_beyond_the_data_span_is_a_fit_error(self):
         # two points span two directions; an emptied 3-dim cluster cannot be re-seeded
         X, _, _ = generate(ArrangementSpec(4, (3, 3), 1, 0.0, seed=4))
         with pytest.raises(FitError):
-            k_subspaces(X, 2, [3, 3], IterativeConfig(seed=4))
+            k_subspaces(X, [3, 3], seed=4)
 
 
 class TestEmMixturePca:
     def test_truth_init_noiseless_one_hot(self):
         # a truth init includes the noise model: tiny variance on exact data
         X, models, labels = generate(ArrangementSpec(3, (2, 2, 2, 2), 200, 0.0, seed=3))
-        seg, resp, iterations = em_mixture_pca(
-            X, 4, [2] * 4, 1e-8, IterativeConfig(init_models=models)
-        )
+        seg, resp, iterations = em_mixture_pca(X, [2] * 4, 1e-8, init_models=models)
         assert matched_accuracy(labels, seg.labels) == 1.0
         assert np.allclose(resp.max(axis=1), 1.0, atol=1e-8)
         assert iterations <= 5
@@ -85,7 +87,7 @@ class TestEmMixturePca:
         for seed in range(12):
             X, _, _ = generate(ArrangementSpec(3, (2, 2, 2, 2), 150, 0.02, seed=seed))
             history = []
-            em_mixture_pca(X, 4, [2] * 4, 1e-2, IterativeConfig(seed=seed), history)
+            em_mixture_pca(X, [2] * 4, 1e-2, seed=seed, likelihood_history=history)
             diffs = np.diff(history)
             assert np.all(diffs >= -1e-7 * max(abs(history[-1]), 1.0))
 
@@ -94,10 +96,8 @@ class TestEmMixturePca:
         for seed in range(12):
             X, _, _ = generate(ArrangementSpec(3, (2, 2, 2, 2), 200, 0.02, seed=200 + seed))
             warm = segment(X, 4)
-            _, _, a = em_mixture_pca(X, 4, [2] * 4, 1e-2, IterativeConfig(seed=seed))
-            _, _, b = em_mixture_pca(
-                X, 4, [2] * 4, 1e-2, IterativeConfig(init_models=warm.models)
-            )
+            _, _, a = em_mixture_pca(X, [2] * 4, 1e-2, seed=seed)
+            _, _, b = em_mixture_pca(X, [2] * 4, 1e-2, init_models=warm.models)
             rand_iters.append(a)
             warm_iters.append(b)
         assert np.mean(warm_iters) < np.mean(rand_iters)
@@ -106,18 +106,38 @@ class TestEmMixturePca:
         stuck = 0
         for seed in range(20):
             X, models, _ = generate(ArrangementSpec(3, (2, 2, 2, 2), 200, 0.0, seed=400 + seed))
-            seg, _, _ = em_mixture_pca(X, 4, [2] * 4, 1e-2, IterativeConfig(seed=seed))
+            seg, _, _ = em_mixture_pca(X, [2] * 4, 1e-2, seed=seed)
             if angle_error(models, seg.models) > 1e-6:
                 stuck += 1
         assert stuck >= 1
 
     def test_variance_floor_and_validation(self):
         X, _, _ = generate(ArrangementSpec(3, (2, 2), 60, 0.0, seed=4))
-        with pytest.raises(ValueError):
-            em_mixture_pca(X, 2, [2, 2], noise_variance=0.0)
+        for bad in (0.0, -1e-3, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                em_mixture_pca(X, [2, 2], noise_variance=bad)
         # exact-fit data drives variances to the floor without blowing up
-        seg, _, _ = em_mixture_pca(X, 2, [2, 2], 1e-3, IterativeConfig(seed=5))
+        seg, _, _ = em_mixture_pca(X, [2, 2], 1e-3, seed=5)
         assert np.isfinite(seg.residuals).all()
+
+
+def _fit_bytes(result):
+    """The bytes of a fit's labels, residuals, models and remaining outputs."""
+    seg, *rest = result
+    arrays = [seg.labels, seg.residuals, *rest]
+    for model in seg.models:
+        arrays += [model.complement_basis, model.representative, model.dim]
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+class TestWarmStart:
+    def test_warm_start_ignores_the_seed(self):
+        # the sweep's per-cell prefix cache reuses one warm-started run across seeds
+        X, _, _ = generate(FOUR_PLANES)
+        warm = segment(X, 4).models
+        for fit in (k_subspaces, em_mixture_pca):
+            a, b = (fit(X, [2] * 4, seed=seed, init_models=warm) for seed in (1, 2))
+            assert _fit_bytes(a) == _fit_bytes(b)
 
 
 class TestLabelPermutationInvariance:

@@ -451,6 +451,8 @@ def _input_files(folder):
     for frames in (1, 2):
         paths[f"frames_{frames}"] = str(folder / f"frames_{frames}.txt")
         write_tracks(paths[f"frames_{frames}"], tracks[:, :frames])
+    paths["negative_frames"] = str(folder / "negative_frames.txt")
+    Path(paths["negative_frames"]).write_text("-1 0\n")
     tracks[2, 1, 0] = np.nan
     paths["nan_tracks"] = str(folder / "nan_tracks.txt")
     write_tracks(paths["nan_tracks"], tracks)
@@ -470,6 +472,14 @@ def _input_files(folder):
         "config_repeated_algorithm": {"algorithms": ["gpca", "ksub", "gpca"]},
         "config_repeated_noise": {"noise_grid": [0.0, 0.01, 0.0]},
         "config_new_chain": {"algorithms": ["ksub+em"]},
+        "config_few_gpca_points": {
+            "algorithms": ["gpca", "ksub"],
+            "n": 4,
+            "points_per_subspace": 3,
+            "seed": 14,
+            "trials": 3,
+        },
+        "config_huge_gpca": {"n": 40, "ambient_dim": 40},
     }
     spec = {"ambient_dim": 2, "dims": [1, 1], "points_per_subspace": 5}
     specs = {
@@ -555,6 +565,9 @@ class TestInputValidation:
             ["experiment", "--config", "{config_repeated_algorithm}"],
             ["experiment", "--config", "{config_repeated_noise}"],
             ["experiment", "--config", "{config_new_chain}"],
+            ["experiment", "--config", "{config_few_gpca_points}"],
+            ["experiment", "--config", "{config_huge_gpca}"],
+            ["motion", "--mode", "affine", "--input", "{negative_frames}"],
         ],
     )
     def test_rejected_with_exit_2(self, argv, tmp_path, capsys):

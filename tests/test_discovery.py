@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from util import lines_plus_plane, two_coordinate_lines
+from util import lines_plus_plane, random_projection, two_coordinate_lines
 
 from gpca._linalg import max_principal_angle
 from gpca.discovery import (
@@ -22,14 +22,14 @@ from gpca.synthgen import ArrangementSpec, generate
 class TestProject:
     def test_pca_projection_is_row_orthonormal(self):
         X, _, _ = generate(ArrangementSpec(5, (1, 1), 100, 0.0, seed=0))
-        proj, Xp = project(X, 2, kind="pca")
+        proj, Xp = project(X, 2)
         assert proj.shape == (2, 5)
         assert np.allclose(proj @ proj.T, np.eye(2), atol=1e-12)
         assert Xp.shape == (200, 2)
 
     def test_two_lines_project_to_two_lines(self):
         X, _, _ = generate(ArrangementSpec(3, (1, 1), 150, 0.0, seed=1))
-        _, Xp = project(X, 2, kind="pca")
+        _, Xp = project(X, 2)
         report = discover_equal_dim(Xp, 4)
         assert (report.n, report.d) == (2, (1, 1))
 
@@ -37,29 +37,22 @@ class TestProject:
         from gpca.segmentation import segment
 
         X, _, labels = generate(ArrangementSpec(3, (2, 2), 120, 0.0, seed=2))
-        _, Xp = project(X, 3, kind="pca")
+        _, Xp = project(X, 3)
         seg_orig = segment(X, 2)
         seg_proj = segment(Xp, 2)
         assert matched_accuracy(seg_orig.labels, seg_proj.labels) == 1.0
 
     def test_projection_preserves_per_subspace_rank(self):
         X, models, labels = generate(ArrangementSpec(6, (2, 2), 150, 0.0, seed=3))
-        _, Xp = project(X, 3, kind="pca")
+        _, Xp = project(X, 3)
         for cluster in range(2):
             member = Xp[labels == cluster]
             sv = np.linalg.svd(member.T, compute_uv=False)
             assert (sv > 1e-9 * sv[0]).sum() == 2
 
-    def test_random_projection_seeded(self):
-        X, _, _ = generate(ArrangementSpec(4, (1, 1), 100, 0.0, seed=4))
-        p1, X1 = project(X, 2, kind="random", seed=11)
-        p2, X2 = project(X, 2, kind="random", seed=11)
-        assert np.array_equal(p1, p2)
-        assert p1.shape == (2, 4)
-
     def test_pca_map_keeps_its_rows_with_fewer_points_than_dims(self):
         X = np.random.default_rng(5).standard_normal((2, 5))
-        proj, Xp = project(X, 3, kind="pca")
+        proj, Xp = project(X, 3)
         assert proj.shape == (3, 5)
         assert np.allclose(proj @ proj.T, np.eye(3), atol=1e-12)
         assert Xp.shape == (2, 3)
@@ -215,7 +208,7 @@ class TestRecursiveSegment:
         hits = 0
         trials = 40
         for seed in range(trials):
-            _, Xp = project(X, 2, kind="random", seed=seed)
+            Xp = random_projection(X, 2, seed)
             try:
                 report = discover_equal_dim(Xp, 4)
             except DiscoveryError:

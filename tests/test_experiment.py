@@ -3,7 +3,7 @@
 import numpy as np
 
 from gpca import experiment
-from gpca.baselines import IterativeConfig, em_mixture_pca, k_subspaces
+from gpca.baselines import em_mixture_pca, k_subspaces
 from gpca.experiment import ALGORITHMS, ExperimentConfig, TrialRow, rows_to_csv, run_experiment
 from gpca.metrics import matched_accuracy
 from gpca.segmentation import segment
@@ -37,10 +37,8 @@ class TestChains:
         row = _trial_rows(run_experiment(ONE_CELL))["gpca+ksub+em", 0.02, 0]
         X, models, labels = _cell_points(ONE_CELL, 0, 0)
         n, dims = ONE_CELL.n, ONE_CELL.dims
-        mid, _ = k_subspaces(X, n, dims, IterativeConfig(init_models=segment(X, n).models))
-        seg, _, iterations = em_mixture_pca(
-            X, n, dims, config=IterativeConfig(init_models=mid.models)
-        )
+        mid, _ = k_subspaces(X, dims, init_models=segment(X, n).models)
+        seg, _, iterations = em_mixture_pca(X, dims, init_models=mid.models)
         assert row.status == "ok"
         assert row.error_degrees == angle_error(models, seg.models)
         assert row.classification_pct == 100.0 * matched_accuracy(labels, seg.labels, size=n)

@@ -36,6 +36,13 @@ def lines_plus_plane(points_per=200, noise=0.0, seed=11):
     return generate_from_bases([l1, l2, plane], points_per, noise, seed=seed)
 
 
+def random_projection(X, new_dim, seed):
+    """X projected by a row-orthonormalized Gaussian (new_dim, D) map drawn from `seed`."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    mat, _ = np.linalg.qr(rng.standard_normal((X.shape[1], new_dim)))
+    return X @ mat
+
+
 def monomial_position(exponents, dim):
     """Row of the exponent tuple in monomial_basis of its degree."""
     basis = monomial_basis(sum(exponents), dim)
