@@ -1,4 +1,9 @@
-"""Small dense linear-algebra helpers used throughout the package."""
+"""Small dense linear-algebra helpers used throughout the package.
+
+The fits carry an upper-triangular factor R with R^T R = A A^T for their
+embedded matrix A (`triangular_factor`), take its spectrum from a
+values-only SVD of R and its null directions from `null_vectors`.
+"""
 
 from __future__ import annotations
 
@@ -23,15 +28,82 @@ def left_svd(A):
 
     Returns the (M, min(M, N)) and (min(M, N),) arrays that
     np.linalg.svd(A, full_matrices=False) returns first, equal to rounding.
-    A wide A is first reduced by a QR factorization of its transpose
-    (Chan 1982): A = R^T Q^T, so the small square R^T has the same left
-    singular vectors and singular values.
+    A wide A is first reduced by `triangular_factor`'s QR. Used for PCA;
+    the fits use `triangular_factor` and `null_vectors`.
     """
     A = np.asarray(A, dtype=float)
     if A.shape[1] >= _QR_FIRST_RATIO * A.shape[0]:
         A = np.linalg.qr(A.T, mode="r").T
     left, sv, _ = np.linalg.svd(A, full_matrices=False)
     return left, sv
+
+
+def triangular_factor(A):
+    """Square upper-triangular R with R^T R = A A^T, for an (M, N) matrix A.
+
+    R is the triangle of a QR factorization of A^T (Chan 1982): A = R^T Q^T,
+    so R^T has A's left singular vectors and singular values, and R's right
+    singular vectors are A's left ones. With N < M the (N, M) trapezoid is
+    padded with zero rows, which add the M - N exact zeros of A's spectrum.
+    """
+    A = np.asarray(A, dtype=float)
+    M, N = A.shape
+    R = np.linalg.qr(A.T, mode="r")
+    if N < M:
+        R = np.vstack([R, np.zeros((M - N, M))])
+    return R
+
+
+# LAPACK block size of the regularizing QR; 8 was the fastest at M = 126-330.
+_TPQRT_BLOCK = 8
+
+# Inverse iteration stops once its block is null to within the
+# regularization, ||R X||_F <= mu * sqrt(m): directions of one null cluster
+# are then indistinguishable, and a block in a cluster larger than m would
+# drift through it without settling. Otherwise it stops once a step moves the
+# block by at most _STILL * sqrt(m) (the Frobenius norm of the moved part,
+# which bounds the sines of the principal angles), or once a move below
+# _SETTLED fails to shrink: the block has reached its rounding floor.
+# _MAX_STEPS caps the steps on spectra with little gap at the nullity.
+_STILL = 1e-13
+_SETTLED = 1e-6
+_MAX_STEPS = 100
+
+
+def null_vectors(R, m: int) -> np.ndarray:
+    """Orthonormal (M, m) basis of the m smallest right singular vectors of an upper-triangular R.
+
+    The columns are in ascending order of singular value. For a
+    `triangular_factor` R these are the trailing left singular vectors of
+    its matrix. Block inverse iteration (Ipsen 1997) on the regularized
+    R^T R + mu^2 I, mu = M * eps * ||R||_F, which has the same eigenvectors
+    and stays solvable when R is exactly singular: each step makes two
+    triangular solves against the triangle of [R; mu I] and re-orthonormalizes
+    the block by a QR. The start is a fixed block, so two calls give the same
+    bytes. A Rayleigh-Ritz step against R itself orders the columns.
+    """
+    # scipy is imported on first use: it takes longer to import than gpca.
+    from scipy.linalg import lapack
+
+    R = np.asarray(R, dtype=float)
+    M = R.shape[0]
+    mu = M * np.finfo(float).eps * np.linalg.norm(R) or 1.0
+    # dtpqrt keeps R's zero lower triangle, and its Fortran-ordered result
+    # goes to dtrtrs without a copy.
+    stacked, *_ = lapack.dtpqrt(M, min(M, _TPQRT_BLOCK), R, mu * np.eye(M))
+    block, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((M, m)))
+    tol = _STILL * np.sqrt(m)
+    last_move = np.inf
+    for _ in range(_MAX_STEPS):
+        step, _ = lapack.dtrtrs(stacked, lapack.dtrtrs(stacked, block, trans=1)[0])
+        step = step / np.linalg.norm(step) if m == 1 else np.linalg.qr(step)[0]
+        move = np.linalg.norm(step - block @ (block.T @ step))
+        block, image = step, R @ step
+        if np.linalg.norm(image) <= mu * np.sqrt(m) or move <= tol or _SETTLED > move >= last_move:
+            break
+        last_move = move
+    _, rotation = np.linalg.eigh(image.T @ image)
+    return block @ rotation
 
 
 def orthonormal_completion(U):

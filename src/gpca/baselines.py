@@ -36,6 +36,8 @@ def _resize_complement(B, D, d):
 def _start(X, dims, seed, init_models):
     """Float X, int dims, and init models' complements resized to dims, else seeded random ones."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if not np.isfinite(X).all():
+        raise ValueError("points must be finite; got NaN or inf")
     dims = [int(d) for d in dims]
     if not dims:
         raise ValueError("need at least one subspace")

@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from ._linalg import left_svd, orthonormal_completion
+from ._linalg import left_svd, null_vectors, orthonormal_completion
 from .errors import DiscoveryError, FitError
 from .fitting import embed, hilbert_nullity, select_rank
 from .segmentation import Segmentation, SubspaceModel, assign, segment
@@ -104,9 +104,12 @@ def project(X, new_dim: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the read-only (new_dim, D) row-orthonormal map and the (N,
     new_dim) projected points. With fewer points than new_dim, the map's
-    last rows complete the point span orthonormally.
+    last rows complete the point span orthonormally. Non-finite points raise
+    ValueError.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if not np.isfinite(X).all():
+        raise ValueError("points must be finite; got NaN or inf")
     D = X.shape[1]
     if new_dim > D:
         raise ValueError(f"cannot project {D}-dimensional data up to {new_dim}")
@@ -126,10 +129,10 @@ def _probe(X, degree) -> RankProbe:
     count = monomial_count(degree, dim)
     decision = select_rank(embedded.singular_values, total=count, allow_full_rank=True)
     nullity = decision.nullity
-    if nullity >= 1 and embedded.left_vectors.shape[1] == count:
+    if nullity >= 1:
         # confirm the best null direction vanishes on the data; conditioning
         # artifacts produce small singular values without vanishing residuals
-        direction = embedded.left_vectors[:, -1]
+        direction = null_vectors(embedded.factor, 1)[:, 0]
         scales = np.maximum(np.linalg.norm(embedded.matrix, axis=0), 1e-300)
         residual = float(np.max(np.abs(direction @ embedded.matrix) / scales))
         if residual > _VANISH_TOL:

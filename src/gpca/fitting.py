@@ -3,7 +3,9 @@
 The coefficient vectors of polynomials that vanish on a union of subspaces
 live in the left null space of the embedded data matrix. With noise the
 null space is read off the smallest singular values, with the number of
-polynomials chosen by a penalized spectral-gap criterion.
+polynomials chosen by a penalized spectral-gap criterion. A fit carries
+the matrix's triangular factor R (R^T R = A A^T): its spectrum is a
+values-only SVD of R and its basis the `null_vectors` of R.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import left_svd, orthonormal_completion, unit_rows
+from ._linalg import null_vectors, triangular_factor, unit_rows
 from .errors import DegenerateDataError
 from .polynomial import PolynomialBasis
 from .veronese import monomial_count, veronese_lift
@@ -40,13 +42,13 @@ class SampleSufficiencyWarning(UserWarning):
 
 @dataclass(frozen=True, eq=False)
 class EmbeddedMatrix:
-    """Column-wise Veronese lift of a point set plus its singular spectrum.
+    """Column-wise Veronese lift of a point set, its triangular factor and spectrum.
 
     `matrix` has shape (M, N) with M = monomial_count(degree, dim); column j
-    is the lift of `points[j]`. `singular_values` are the economy-size SVD
-    values, descending; values beyond min(M, N) are implicitly zero.
-    They and `left_vectors` come from `left_svd`, equal to
-    np.linalg.svd(matrix, full_matrices=False)'s to rounding.
+    is the lift of `points[j]`. `factor` is the (M, M) upper-triangular
+    `triangular_factor` of the matrix, with factor^T factor = matrix matrix^T,
+    and `singular_values` are its M values, descending: the matrix's own,
+    to rounding, with zeros past min(M, N).
     """
 
     degree: int
@@ -54,7 +56,7 @@ class EmbeddedMatrix:
     matrix: np.ndarray = field(repr=False)
     singular_values: np.ndarray = field(repr=False)
     points: np.ndarray = field(repr=False)
-    left_vectors: np.ndarray = field(repr=False)
+    factor: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,7 @@ def embed(X, degree: int, *, warn: bool = True) -> EmbeddedMatrix:
     ||x||^degree, and normalization equalizes each point's weight in the
     algebraic least squares. Issues a SampleSufficiencyWarning when there are
     fewer than `min_samples` points, too few to pin down even a
-    one-dimensional null space.
+    one-dimensional null space. Non-finite points raise ValueError.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -108,6 +110,8 @@ def embed(X, degree: int, *, warn: bool = True) -> EmbeddedMatrix:
     n_points, dim = X.shape
     if n_points == 0:
         raise ValueError("cannot embed an empty point set")
+    if not np.isfinite(X).all():
+        raise ValueError("points must be finite; got NaN or inf")
     needed = min_samples(degree, dim)
     if warn and n_points < needed:
         warnings.warn(
@@ -118,14 +122,14 @@ def embed(X, degree: int, *, warn: bool = True) -> EmbeddedMatrix:
         )
     pts = unit_rows(X)
     matrix = veronese_lift(pts, degree).T
-    left, sv = left_svd(matrix)
+    factor = triangular_factor(matrix)
     return EmbeddedMatrix(
         degree=degree,
         dim=dim,
         matrix=matrix,
-        singular_values=sv,
+        singular_values=np.linalg.svd(factor, compute_uv=False),
         points=pts,
-        left_vectors=left,
+        factor=factor,
     )
 
 
@@ -185,30 +189,20 @@ def select_rank(
 
 
 def _null_space_fit(
-    left_vectors: np.ndarray, singular_values: np.ndarray, degree: int, dim: int
+    factor: np.ndarray, singular_values: np.ndarray, degree: int, dim: int
 ) -> tuple[PolynomialBasis, RankDecision]:
-    """Vanishing basis and rank decision from a factored fitting matrix.
+    """Vanishing basis and rank decision from a triangular factor and its spectrum.
 
-    The basis rows are the left singular vectors of the smallest values.
-    `left_vectors` is the economy factor (M x k); when k < M the missing
-    directions correspond to exact zeros and are completed orthonormally.
+    The basis rows are the factor's `null_vectors` at the decided nullity,
+    smallest singular value first.
     """
-    count = monomial_count(degree, dim)
-    decision = select_rank(singular_values, total=count)
-    k = left_vectors.shape[1]
-    rows = []
-    missing = count - k
-    if missing > 0:
-        completion = orthonormal_completion(left_vectors)
-        rows.extend(completion.T[: min(missing, decision.nullity)])
-    needed = decision.nullity - len(rows)
-    if needed > 0:
-        rows.extend(left_vectors[:, k - needed :].T[::-1])
-    return PolynomialBasis(degree, dim, np.vstack(rows)), decision
+    decision = select_rank(singular_values, total=monomial_count(degree, dim))
+    rows = null_vectors(factor, decision.nullity).T
+    return PolynomialBasis(degree, dim, rows), decision
 
 
 def fit_vanishing(embedded: EmbeddedMatrix) -> tuple[PolynomialBasis, RankDecision]:
     """Least-squares vanishing basis of the embedded points, and the rank decision that sized it."""
     return _null_space_fit(
-        embedded.left_vectors, embedded.singular_values, embedded.degree, embedded.dim
+        embedded.factor, embedded.singular_values, embedded.degree, embedded.dim
     )

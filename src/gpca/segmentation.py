@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import left_svd
+from ._linalg import triangular_factor
 from .errors import FitError, StageError
 from .fitting import (
     KAPPA,
@@ -161,7 +161,11 @@ def algebraic_distance2(P: PolynomialBasis, x):
 def _distance2(P: PolynomialBasis, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """algebraic_distance2 at (N, D) points, and the basis gradients (N, D, m) there."""
     values, grads = _values_and_gradients(P, X)
-    _, sv, rows = np.linalg.svd(grads, full_matrices=False)
+    if len(P) == 1:
+        # A (D, 1) gradient's one singular value is its norm, its right vector [1].
+        sv, rows = np.linalg.norm(grads, axis=1), np.ones((len(X), 1, 1))
+    else:
+        _, sv, rows = np.linalg.svd(grads, full_matrices=False)
     top = sv[:, 0]
     safe_top = np.where(top > 0.0, top, 1.0)
     # Per-point truncation scale: spurious directions shrink with the distance
@@ -245,17 +249,17 @@ def model_at_point(P: PolynomialBasis, y) -> SubspaceModel:
     )
 
 
-def _peel(left: np.ndarray, sv: np.ndarray, degree: int, model: SubspaceModel):
-    """Factors of the degree-(degree-1) fitting matrix once the model is divided out.
+def _peel(factor: np.ndarray, degree: int, model: SubspaceModel) -> np.ndarray:
+    """Triangular factor of the degree-(degree-1) fitting matrix once the model is divided out.
 
-    The left factor times the singular values keeps the degree-`degree`
-    matrix's spectrum and column span. Its product with the lift of a
-    complement direction b has row f = sum_v b_v * (row of f * x_v); these
-    blocks, side by side in complement-basis order, are factored with `left_svd`.
+    The factor's transpose keeps the degree-`degree` matrix's spectrum and
+    column span. Its product with the lift of a complement direction b has
+    row f = sum_v b_v * (row of f * x_v); these blocks, side by side in
+    complement-basis order, are reduced by `triangular_factor`'s QR.
     """
-    raised = (left * sv)[raise_table(degree, model.ambient_dim)]
+    raised = factor.T[raise_table(degree, model.ambient_dim)]
     blocks = model.complement_basis.T @ raised
-    return left_svd(blocks.reshape(blocks.shape[0], -1))
+    return triangular_factor(blocks.reshape(blocks.shape[0], -1))
 
 
 def assign(X, models) -> tuple[np.ndarray, np.ndarray]:
@@ -284,12 +288,12 @@ def segment(X, n: int) -> Segmentation:
         raise ValueError("need n >= 1 subspaces")
     embedded = embed(X, n)
     points, dim = embedded.points, embedded.dim
-    left, sv = embedded.left_vectors, embedded.singular_values
+    factor, sv = embedded.factor, embedded.singular_values
     models: list[SubspaceModel] = []
     stages: list[StageRecord] = []
     for degree in range(n, 0, -1):
         try:
-            basis, decision = _null_space_fit(left, sv, degree, dim)
+            basis, decision = _null_space_fit(factor, sv, degree, dim)
             if degree == n:
                 top_basis = basis
             idx = select_point(basis, points, tuple(models))
@@ -304,7 +308,8 @@ def segment(X, n: int) -> Segmentation:
                 )
             )
             if degree > 1:
-                left, sv = _peel(left, sv, degree, model)
+                factor = _peel(factor, degree, model)
+                sv = np.linalg.svd(factor, compute_uv=False)
         except FitError as exc:
             if isinstance(exc, StageError):
                 raise

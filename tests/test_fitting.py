@@ -25,6 +25,7 @@ from gpca.fitting import (
 )
 from gpca.synthgen import generate, ArrangementSpec
 from gpca.veronese import monomial_count, veronese_lift
+from gpca import baselines, discovery, segmentation
 
 
 def coefficient_span_angle(basis_a, basis_b):
@@ -265,3 +266,32 @@ class TestHilbertNullity:
         for degree in range(len(dims), 5):
             observed = _probe(X, degree).nullity
             assert observed == hilbert_nullity(dims, D, degree)
+
+
+class TestNonFinitePoints:
+    """One NaN or inf among the points is refused before any factorization."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda X: segmentation.segment(X, 2),
+            lambda X: embed(X, 2),
+            lambda X: discovery.recursive_segment(X, 2),
+            lambda X: discovery.count_hyperplanes(X, 2),
+            lambda X: baselines.k_subspaces(X, [2, 2]),
+            lambda X: baselines.em_mixture_pca(X, [2, 2]),
+        ],
+        ids=["segment", "embed", "recursive_segment", "count_hyperplanes", "k_subspaces", "em"],
+    )
+    def test_raises_value_error(self, call, bad, monkeypatch):
+        X = generate(ArrangementSpec(3, (2, 2), 100, 0.01, seed=0))[0]
+        X[17, 1] = bad
+
+        def no_factorization(*args, **kwargs):
+            raise AssertionError("factored non-finite points")
+
+        for name in ("svd", "qr", "eigh"):
+            monkeypatch.setattr(np.linalg, name, no_factorization)
+        with pytest.raises(ValueError, match="finite"):
+            call(X)

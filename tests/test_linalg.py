@@ -1,9 +1,12 @@
-"""Dense helpers: the left-factor SVD against numpy's economy SVD."""
+"""Dense helpers: the left-factor SVD, the triangular factor and its null
+vectors, against numpy's SVD."""
 
 import numpy as np
 import pytest
 
-from gpca._linalg import left_svd, max_principal_angle
+from gpca._linalg import left_svd, max_principal_angle, null_vectors, triangular_factor
+from gpca.fitting import embed, select_rank
+from gpca.synthgen import ArrangementSpec, generate
 
 
 def low_rank(rows, cols, rank, seed):
@@ -48,3 +51,83 @@ class TestLeftSvd:
         assert left.shape == (shape[0], k) and sv.shape == (k,)
         assert np.all(sv == 0.0)
         assert np.allclose(left.T @ left, np.eye(k), atol=1e-14)
+
+
+SHAPES = [(12, 300), (40, 40), (30, 12), (1, 5), (5, 1)]
+SHAPE_IDS = ["wide", "square", "tall", "one-row", "one-column"]
+
+
+class TestTriangularFactor:
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    def test_gram_and_spectrum_match(self, shape):
+        A = np.random.default_rng(sum(shape)).standard_normal(shape)
+        R = triangular_factor(A)
+        M, N = shape
+        assert R.shape == (M, M)
+        assert np.array_equal(R, np.triu(R))
+        gram = A @ A.T
+        assert np.abs(R.T @ R - gram).max() <= 1e-13 * np.abs(gram).max()
+        sv = np.linalg.svd(R, compute_uv=False)
+        ref_sv = np.linalg.svd(A, compute_uv=False)
+        assert np.all(np.abs(sv[: min(M, N)] - ref_sv) <= 1e-13 * ref_sv[0])
+        assert np.all(sv[min(M, N) :] <= 1e-13 * ref_sv[0])
+
+    @pytest.mark.parametrize("shape", [(6, 30), (6, 6), (8, 6)])
+    def test_all_zero_input(self, shape):
+        R = triangular_factor(np.zeros(shape))
+        assert R.shape == (shape[0], shape[0]) and np.all(R == 0.0)
+
+
+def planted_gap(rows, cols, trailing, seed):
+    """A (rows, cols) matrix with singular values 1..0.1, then `trailing` ones below 1e-3."""
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((rows, rows)))
+    V, _ = np.linalg.qr(rng.standard_normal((cols, rows)))
+    sv = np.concatenate(
+        [np.geomspace(1.0, 0.1, rows - trailing), np.geomspace(1e-3, 1e-5, trailing)]
+    )
+    return (U * sv) @ V.T
+
+
+class TestNullVectors:
+    @pytest.mark.parametrize("rows, cols, m", [(30, 200, 3), (56, 400, 1), (20, 60, 8)])
+    def test_span_matches_the_trailing_left_vectors(self, rows, cols, m):
+        A = planted_gap(rows, cols, m, seed=rows + m)
+        U, sv, _ = np.linalg.svd(A)
+        got = null_vectors(triangular_factor(A), m)
+        assert got.shape == (rows, m)
+        assert np.allclose(got.T @ got, np.eye(m), atol=1e-14)
+        assert max_principal_angle(got, U[:, -m:]) <= 1e-12
+        # ascending order: each column is one trailing vector, up to sign
+        signs = np.sign(np.sum(got * U[:, ::-1][:, :m], axis=0))
+        assert np.allclose(got * signs, U[:, ::-1][:, :m], atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "spec, degree",
+        [
+            (ArrangementSpec(5, (1, 1, 1), 30, 0.0, seed=0), 3),
+            (ArrangementSpec(5, (1, 2, 3), 60, 0.0, seed=2), 3),
+        ],
+        ids=["three-lines-R5", "mixed-R5"],
+    )
+    def test_exactly_singular_factor(self, spec, degree):
+        X, _, _ = generate(spec)
+        em = embed(X, degree)
+        nullity = select_rank(em.singular_values, total=len(em.singular_values)).nullity
+        if spec.dims == (1, 1, 1):
+            # rank 3 of 35: each line lifts to one direction
+            assert nullity == 32
+        got = null_vectors(em.factor, nullity)
+        residuals = np.linalg.norm(em.factor @ got, axis=0)
+        assert residuals.max() <= 1e-14 * em.singular_values[0]
+
+    def test_padded_factor_of_fewer_columns(self):
+        A = np.random.default_rng(3).standard_normal((30, 12))
+        U, sv, _ = np.linalg.svd(A)
+        got = null_vectors(triangular_factor(A), 18)
+        assert np.abs(A.T @ got).max() <= 1e-14 * sv[0]
+        assert max_principal_angle(got, U[:, 12:]) <= 1e-12
+
+    def test_two_calls_give_the_same_bytes(self):
+        R = triangular_factor(planted_gap(30, 200, 3, seed=5))
+        assert null_vectors(R, 3).tobytes() == null_vectors(R, 3).tobytes()

@@ -11,9 +11,16 @@ from util import (
     line_and_plane,
     peel,
     product_basis,
+    svd_distance2,
 )
 
-from gpca._linalg import left_svd, max_principal_angle, orthonormal_completion, vector_angle
+from gpca._linalg import (
+    max_principal_angle,
+    null_vectors,
+    orthonormal_completion,
+    triangular_factor,
+    vector_angle,
+)
 from gpca.errors import FitError, StageError
 from gpca.fitting import embed, fit_vanishing
 from gpca.metrics import matched_accuracy
@@ -137,6 +144,22 @@ class TestAlgebraicDistance:
                 scale = np.linalg.norm(P.coefficients) * np.linalg.norm(x) ** P.degree
                 assert np.abs(values - expected).max() <= 1e-13 * scale
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.01])
+    @pytest.mark.parametrize("dim, dims", [(3, (2, 2)), (4, (3, 3, 3)), (6, (5, 5, 5, 5))])
+    def test_one_polynomial_matches_the_batched_svd(self, sigma, dim, dims):
+        # one polynomial: the gradient's norm stands in for its SVD
+        X, _, _ = generate(ArrangementSpec(dim, dims, 80, sigma, seed=8))
+        P = fit_vanishing(embed(X, len(dims)))[0]
+        assert len(P) == 1
+        X = np.vstack([X, np.zeros(dim)])
+        got, expected = algebraic_distance2(P, X), svd_distance2(P, X)
+        assert np.array_equal(got == np.inf, expected == np.inf)
+        assert np.array_equal(got == 0.0, expected == 0.0)
+        assert got[-1] == np.inf
+        assert (got == 0.0).any() == (sigma == 0.0)
+        finite = np.isfinite(expected)
+        assert np.allclose(got[finite], expected[finite], rtol=1e-12, atol=0.0)
+
     def test_exact_points_are_zero_at_any_scale(self):
         X, _, _ = generate(ArrangementSpec(3, (2, 2), 50, 0.0, seed=7))
         P = fit_vanishing(embed(X, 2))[0]
@@ -218,7 +241,7 @@ class TestPeel:
         assert model.dim == seg.models[1].dim
         assert np.array_equal(model.complement_basis, seg.models[1].complement_basis)
 
-    def test_one_svd_per_peel(self, monkeypatch):
+    def test_one_qr_per_peel(self, monkeypatch):
         X, models, _ = generate(ArrangementSpec(3, (2, 2, 2), 150, 0.01, seed=5))
         em = embed(X, 3)
         M, M3 = monomial_count(2, 3), monomial_count(3, 3)
@@ -233,29 +256,30 @@ class TestPeel:
 
         monkeypatch.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
         monkeypatch.setattr(np.linalg, "qr", spy("qr", np.linalg.qr))
-        lower = peel(em, models[0])
-        assert len(lower) == 1
+        factor = _peel(em.factor, 3, models[0])
+        assert factor.shape == (M, M)
+        assert np.array_equal(factor, np.triu(factor))
         # the peel stacks the compressed M_3 x M_3 factor of the embedded
-        # matrix, never its N columns: one SVD of the (6, 10) stack, too
-        # narrow for a QR, and the (1, 6) independence check of the new basis
-        assert [name for name, _ in calls].count("qr") == 0
-        assert [shape for name, shape in calls if name == "svd"] == [(M, M3), (1, M)]
+        # matrix, never its N columns, and reduces the (6, 10) stack by one
+        # QR of its transpose: no SVD
+        assert calls == [("qr", (M3, M))]
+        assert len(peel(em, models[0])) == 1
 
     def test_peel_stack_is_the_lift_matrix_stack(self, monkeypatch):
         # complement ranks 4, 3 and 2: the stack has one block per complement
         # direction, in the order of the complement basis
         X, models, _ = generate(ArrangementSpec(5, (1, 2, 3), 60, 0.0, seed=2))
         em = embed(X, 3)
-        compressed = em.left_vectors * em.singular_values
+        compressed = em.factor.T
         stacks = []
 
         def spy(matrix):
             stacks.append(matrix)
-            return left_svd(matrix)
+            return triangular_factor(matrix)
 
-        monkeypatch.setattr("gpca.segmentation.left_svd", spy)
+        monkeypatch.setattr("gpca.segmentation.triangular_factor", spy)
         for model in models:
-            _peel(em.left_vectors, em.singular_values, 3, model)
+            _peel(em.factor, 3, model)
             B = model.complement_basis
             expected = np.hstack([lift_matrix(b, 3) @ compressed for b in B.T])
             assert stacks[-1].shape == expected.shape
@@ -342,8 +366,11 @@ class TestSegment:
     def test_top_basis_is_the_fitted_vanishing_basis(self):
         X, _, _ = generate(ArrangementSpec(3, (2, 2, 1), 100, 0.01, seed=13))
         seg = segment(X, 3)
-        fitted = fit_vanishing(embed(X, 3))[0]
+        em = embed(X, 3)
+        fitted, decision = fit_vanishing(em)
         assert np.array_equal(seg.vanishing_basis.coefficients, fitted.coefficients)
+        rows = null_vectors(em.factor, decision.nullity).T
+        assert np.array_equal(fitted.coefficients, rows)
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):
@@ -394,7 +421,7 @@ class TestSegmentWork:
 
         def spy(name, fn):
             def wrapped(*args, **kwargs):
-                calls.append((name, args))
+                calls.append((name, args, kwargs))
                 return fn(*args, **kwargs)
 
             return wrapped
@@ -418,18 +445,24 @@ class TestSegmentWork:
         seg = segment(X, 4)
         assert len(seg.stages) == 4
 
-        embedded_qrs = [a for name, a in calls if name == "qr" and np.shape(a[0]) == (N, M)]
+        embedded_qrs = [a for name, a, _ in calls if name == "qr" and np.shape(a[0]) == (N, M)]
         assert len(embedded_qrs) == 1
-        assert not [a for name, a in calls if name == "svd" and np.shape(a[0]) == (M, N)]
+        assert not [a for name, a, _ in calls if name == "svd" and np.shape(a[0]) == (M, N)]
         batch_lifts = collections.Counter(
-            a[1] for name, a in calls if name == "lift" and np.shape(a[0]) == (N, 5)
+            a[1] for name, a, _ in calls if name == "lift" and np.shape(a[0]) == (N, 5)
         )
         assert set(batch_lifts) == {0, 1, 2, 3, 4}
         assert max(batch_lifts.values()) == 1
         batch_gradients = [
-            a for name, a in calls if name == "gradients" and np.ndim(a[1]) == 2
+            a for name, a, _ in calls if name == "gradients" and np.ndim(a[1]) == 2
         ]
         assert len(batch_gradients) == 4
+        # every stage fits one polynomial: no batched gradient SVD, and no
+        # SVD with vectors of anything taller than the D x m gradients
+        assert [s.nullity for s in seg.stages] == [1, 1, 1, 1]
+        vector_svds = [a for name, a, kw in calls if name == "svd" and kw.get("compute_uv", True)]
+        assert vector_svds and all(np.shape(a[0])[-2] <= 5 for a in vector_svds)
+        assert not [a for name, a, _ in calls if name == "svd" and np.ndim(a[0]) == 3]
 
 
 class TestRejectOutliers:

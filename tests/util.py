@@ -3,9 +3,15 @@
 import numpy as np
 
 from gpca._linalg import orthonormal_completion
-from gpca.fitting import _null_space_fit
+from gpca.fitting import KAPPA, _null_space_fit, _rank_criterion
 from gpca.polynomial import HomogeneousPolynomial, PolynomialBasis, basis_gradients, lift_matrix
-from gpca.segmentation import _peel
+from gpca.segmentation import (
+    _ROUNDING_D2,
+    _TRUNCATION_MARGIN,
+    PINV_RTOL,
+    _peel,
+    _values_and_gradients,
+)
 from gpca.synthgen import generate_from_bases
 from gpca.veronese import monomial_basis, monomial_count
 
@@ -78,8 +84,9 @@ def product_of_linear_forms(normals):
 
 def peel(embedded, model):
     """The vanishing basis one degree down once `model` is divided out, as in `segment`."""
-    left, sv = _peel(embedded.left_vectors, embedded.singular_values, embedded.degree, model)
-    return _null_space_fit(left, sv, embedded.degree - 1, embedded.dim)[0]
+    factor = _peel(embedded.factor, embedded.degree, model)
+    sv = np.linalg.svd(factor, compute_uv=False)
+    return _null_space_fit(factor, sv, embedded.degree - 1, embedded.dim)[0]
 
 
 def polynomial_from_text(text):
@@ -106,3 +113,20 @@ def product_basis(spans, degree=None):
 def brute_force_distance(x, spans):
     """Exact distance to a union of subspaces via orthogonal projections."""
     return min(np.linalg.norm(x - U @ (U.T @ x)) for U in spans)
+
+
+def svd_distance2(P, X):
+    """algebraic_distance2 at (N, D) points by a batched SVD of the gradients, for any m."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    values, grads = _values_and_gradients(P, X)
+    _, sv, rows = np.linalg.svd(grads, full_matrices=False)
+    top = sv[:, 0]
+    safe_top = np.where(top > 0.0, top, 1.0)
+    scale = _TRUNCATION_MARGIN * P.degree * np.linalg.norm(values, axis=1) / safe_top
+    ranks, _ = _rank_criterion(sv, np.maximum(KAPPA, scale**2), sv.shape[1])
+    keep = (np.arange(sv.shape[1]) < ranks[:, None]) & (sv > PINV_RTOL * sv[:, :1])
+    proj = np.einsum("nkm,nm->nk", rows, values)
+    safe_sv = np.where(keep & (sv > 0.0), sv, 1.0)
+    d2 = np.where(keep, (proj / safe_sv) ** 2, 0.0).sum(axis=1) / float(P.degree) ** 2
+    d2 = np.where(d2 > _ROUNDING_D2 * np.einsum("nd,nd->n", X, X), d2, 0.0)
+    return np.where(top > 0.0, d2, np.inf)
