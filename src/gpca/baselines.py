@@ -4,6 +4,14 @@ Both alternate between assigning points to subspaces and refitting each
 subspace by (weighted) PCA. They are sensitive to initialization, which is
 exactly why the algebraic segmentation makes a good warm start; both accept
 either seeded random bases or a list of already-fitted models.
+
+Each iteration is a fixed number of whole-array operations, whatever the
+number of subspaces n. The per-point outer products Z = vec(x xᵀ) are formed
+once per call, an N x D² array (N·D² floats). One product W Z then gives
+every weighted scatter, W being EM's n x N responsibilities or K-subspaces'
+one-hot labels, and one batched eigh gives every refitted complement. One
+product [B_1 ... B_n]ᵀ Xᵀ, summed over each basis's block of rows, gives
+every squared residual.
 """
 
 from __future__ import annotations
@@ -42,6 +50,8 @@ def _start(X, dims, seed, init_models):
     if not dims:
         raise ValueError("need at least one subspace")
     D = X.shape[1]
+    if any(not 0 < d < D for d in dims):
+        raise ValueError(f"subspace dims must lie strictly between 0 and {D}, got {dims}")
     if init_models is None:
         rng = np.random.default_rng(seed)
         return X, dims, [np.linalg.qr(rng.standard_normal((D, D - d)))[0] for d in dims]
@@ -68,24 +78,13 @@ def _finish(X, bases, dims, labels) -> Segmentation:
     return Segmentation(models, *assign(X, models))
 
 
-def _complement_from_cluster(points, d, D, weights=None):
-    """Minor principal directions of a (weighted) cluster as complement basis."""
-    if weights is None:
-        scatter = points.T @ points
-    else:
-        scatter = (points * weights[:, None]).T @ points
-    eigvals, eigvecs = np.linalg.eigh(scatter)
-    # ascending eigenvalues: the leading columns are the minor directions
-    return eigvecs[:, : D - d]
-
-
-def _reseed_basis(X, residuals, d, D):
+def _reseed_basis(X, residual2, d, D):
     """Deterministic re-seed for an emptied cluster from the worst-fit point.
 
     The new subspace contains the worst point, completed with the data's
     leading principal directions orthogonalized against it.
     """
-    worst = X[int(np.argmax(residuals))]
+    worst = X[int(np.argmax(residual2))]
     worst = worst / max(np.linalg.norm(worst), 1e-300)
     span = [worst]
     _, _, rows = np.linalg.svd(X, full_matrices=False)
@@ -104,59 +103,64 @@ def _reseed_basis(X, residuals, d, D):
     return orthonormal_completion(span_mat)
 
 
-def _log_sum_exp(a):
-    """Row-wise log(sum(exp(a))) of a 2-D array, as scipy.special.logsumexp.
+def _outer_products(X):
+    """The N x D² array of per-point outer products vec(x xᵀ)."""
+    return (X[:, :, None] * X[:, None, :]).reshape(len(X), -1)
 
-    The row maximum and its ties are split out of the sum for precision:
-    log1p(s / m) + log(m) + max, with s the sum of exp(a - max) over the
-    other entries and m the number of ties. Rows where that is not finite
-    (an all -inf row, an overflow) take the direct log of the sum.
+
+def _refit(W, Z, dims, D):
+    """Every cluster's complement at once, row k of W weighting the points of cluster k.
+
+    One product W Z forms the weighted scatters and one batched eigh takes
+    their eigenvectors; ascending eigenvalues put the minor directions first.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        direct = np.log(np.sum(np.exp(a), axis=1))
-        top = np.max(a, axis=1, keepdims=True)
-        at_top = a == top
-        ties = np.sum(at_top, axis=1, keepdims=True, dtype=float)
-        rest = np.sum(np.exp(np.where(at_top, -np.inf, a) - top), axis=1, keepdims=True)
-        rest = np.where(rest == 0, rest, rest / ties)
-        out = (np.log1p(rest) + np.log(ties) + top)[:, 0]
-    return np.where(np.isfinite(out), out, direct)
+    _, eigvecs = np.linalg.eigh((W @ Z).reshape(-1, D, D))
+    return [V[:, : D - d] for V, d in zip(eigvecs, dims)]
 
 
-def _residual_matrix(X, bases):
-    return np.column_stack([np.linalg.norm(X @ B, axis=1) for B in bases])
+def _residual2(X, bases):
+    """n x N squared complement residuals: one product, summed over each basis's rows.
+
+    Cluster-major: a reduction over the clusters of every point then runs
+    elementwise over n rows of length N, which numpy does far faster than
+    N reductions of length n.
+    """
+    starts = np.cumsum([0] + [B.shape[1] for B in bases[:-1]])
+    return np.add.reduceat((np.hstack(bases).T @ X.T) ** 2, starts, axis=0)
 
 
 def k_subspaces(X, dims, *, seed=0, init_models=None, objective_history: list | None = None):
-    """Alternating assignment and per-cluster PCA refit.
+    """Alternating assignment and PCA refit of every cluster.
 
     Returns (Segmentation, iterations). The objective, the sum of squared
     complement residuals at the assigned subspaces, never increases: the
     refit step is optimal per cluster and the assignment step is a pointwise
-    argmin. Stops at a label fixpoint, an objective change of at most TOL,
-    or MAX_ITERS. One subspace per entry of `dims`; `init_models` take
-    priority over `seed`. Pass a list as `objective_history` to collect
-    the per-iteration values.
+    argmin. Each iteration refits all clusters with one scatter product of
+    the one-hot labels and one batched eigh, then re-seeds any emptied
+    cluster from the pre-refit residuals. Stops at a label fixpoint, an
+    objective change of at most TOL, or MAX_ITERS. One subspace per entry of
+    `dims`; `init_models` take priority over `seed`. Pass a list as
+    `objective_history` to collect the per-iteration values.
     """
     X, dims, bases = _start(X, dims, seed, init_models)
-    N, D = X.shape
-    residuals = _residual_matrix(X, bases)
-    labels = np.argmin(residuals, axis=1)
-    objective = float((residuals[np.arange(N), labels] ** 2).sum())
+    D = X.shape[1]
+    Z = _outer_products(X)
+    clusters = np.arange(len(dims))
+    residual2 = _residual2(X, bases)
+    labels = np.argmin(residual2, axis=0)
+    fit2 = residual2.min(axis=0)
+    objective = float(fit2.sum())
     if objective_history is not None:
         objective_history.append(objective)
-    iterations = 0
     for iterations in range(1, MAX_ITERS + 1):
-        for cluster in range(len(dims)):
-            member = labels == cluster
-            if not member.any():
-                point_res = residuals[np.arange(N), labels]
-                bases[cluster] = _reseed_basis(X, point_res, dims[cluster], D)
-                continue
-            bases[cluster] = _complement_from_cluster(X[member], dims[cluster], D)
-        residuals = _residual_matrix(X, bases)
-        new_labels = np.argmin(residuals, axis=1)
-        new_objective = float((residuals[np.arange(N), new_labels] ** 2).sum())
+        onehot = labels == clusters[:, None]
+        bases = _refit(onehot.astype(float), Z, dims, D)
+        for k in np.flatnonzero(~onehot.any(axis=1)):
+            bases[k] = _reseed_basis(X, fit2, dims[k], D)
+        residual2 = _residual2(X, bases)
+        new_labels = np.argmin(residual2, axis=0)
+        fit2 = residual2.min(axis=0)
+        new_objective = float(fit2.sum())
         if objective_history is not None:
             objective_history.append(new_objective)
         done = np.array_equal(new_labels, labels) or abs(objective - new_objective) <= TOL
@@ -181,9 +185,11 @@ def em_mixture_pca(
     A variant of the mixture of probabilistic PCA of Tipping & Bishop
     (Neural Computation, 1999): each component is a subspace plus zero-mean
     Gaussian noise in the directions orthogonal to it. The E-step computes
-    responsibilities from the complement residual likelihoods; the M-step
-    refits each complement by responsibility-weighted PCA and updates
-    mixing weights and variances.
+    all responsibilities from the complement residual likelihoods with one
+    max-shifted log-sum-exp; the M-step refits every complement by
+    responsibility-weighted PCA, one scatter product of the responsibilities
+    and one batched eigh, re-seeds any emptied component, and updates mixing
+    weights and variances.
     Returns (Segmentation, responsibilities, iterations); the observed-data
     log-likelihood is non-decreasing, and a change of at most TOL or
     MAX_ITERS stops it. Other arguments are as for `k_subspaces`; pass a
@@ -192,48 +198,40 @@ def em_mixture_pca(
     if not (np.isfinite(noise_variance) and noise_variance > 0):
         raise ValueError(f"noise variance must be finite and positive, got {noise_variance}")
     X, dims, bases = _start(X, dims, seed, init_models)
-    N, D = X.shape
-    n = len(dims)
+    D = X.shape[1]
+    Z = _outer_products(X)
     codims = np.array([D - d for d in dims], dtype=float)
-    sigma2 = np.full(n, float(noise_variance))
-    weights = np.full(n, 1.0 / n)
+    sigma2 = np.full(len(dims), float(noise_variance))
+    weights = np.full(len(dims), 1.0 / len(dims))
     log_likelihood = -np.inf
-    iterations = 0
-    responsibilities = np.full((N, n), 1.0 / n)
-    residual2 = np.column_stack([np.sum((X @ B) ** 2, axis=1) for B in bases])
+    residual2 = _residual2(X, bases)
     for iterations in range(1, MAX_ITERS + 1):
         log_density = (
-            np.log(weights)[None, :]
-            - 0.5 * codims[None, :] * np.log(2.0 * np.pi * sigma2)[None, :]
-            - 0.5 * residual2 / sigma2[None, :]
+            (np.log(weights) - 0.5 * codims * np.log(2.0 * np.pi * sigma2))[:, None]
+            - (0.5 / sigma2)[:, None] * residual2
         )
-        norm = _log_sum_exp(log_density)
-        responsibilities = np.exp(log_density - norm[:, None])
-        new_log_likelihood = float(norm.sum())
+        # finite everywhere (sigma2 and the weights are floored), so a max shift suffices
+        top = log_density.max(axis=0)
+        density = np.exp(log_density - top)
+        total = density.sum(axis=0)
+        responsibilities = density / total
+        new_log_likelihood = float(np.sum(top + np.log(total)))
         if likelihood_history is not None:
             likelihood_history.append(new_log_likelihood)
 
-        mass = responsibilities.sum(axis=0)
-        for cluster in range(n):
-            if mass[cluster] <= 1e-10:
-                point_res = np.sqrt(residual2.min(axis=1))
-                bases[cluster] = _reseed_basis(X, point_res, dims[cluster], D)
-                mass[cluster] = 1e-10
-                continue
-            bases[cluster] = _complement_from_cluster(
-                X, dims[cluster], D, weights=responsibilities[:, cluster]
-            )
-        residual2 = np.column_stack([np.sum((X @ B) ** 2, axis=1) for B in bases])
+        mass = responsibilities.sum(axis=1)
+        bases = _refit(responsibilities, Z, dims, D)
+        for k in np.flatnonzero(mass <= 1e-10):
+            bases[k] = _reseed_basis(X, residual2.min(axis=0), dims[k], D)
+        mass = np.maximum(mass, 1e-10)
+        residual2 = _residual2(X, bases)
         sigma2 = np.maximum(
-            (responsibilities * residual2).sum(axis=0) / (codims * np.maximum(mass, 1e-300)),
-            _VARIANCE_FLOOR,
+            (responsibilities * residual2).sum(axis=1) / (codims * mass), _VARIANCE_FLOOR
         )
-        weights = np.maximum(mass / N, 1e-300)
-        weights = weights / weights.sum()
+        weights = mass / mass.sum()
 
         if abs(new_log_likelihood - log_likelihood) <= TOL:
-            log_likelihood = new_log_likelihood
             break
         log_likelihood = new_log_likelihood
-    labels = np.argmax(responsibilities, axis=1)
-    return _finish(X, bases, dims, labels), responsibilities, iterations
+    labels = np.argmax(responsibilities, axis=0)
+    return _finish(X, bases, dims, labels), responsibilities.T, iterations

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from gpca import baselines
 from gpca.baselines import em_mixture_pca, k_subspaces
 from gpca.errors import FitError
 from gpca.metrics import confusion_matrix, matched_accuracy
-from gpca.segmentation import segment
+from gpca.segmentation import SubspaceModel, segment
 from gpca.synthgen import ArrangementSpec, angle_error, generate
 
 
@@ -66,6 +67,10 @@ class TestKSubspaces:
             em_mixture_pca(X, [2], init_models=models)
         with pytest.raises(ValueError):
             em_mixture_pca(X, [])
+        for bad in ([0, 2], [2, 3], [4, 2]):
+            for fit in (k_subspaces, em_mixture_pca):
+                with pytest.raises(ValueError):
+                    fit(X, bad)
 
     def test_reseed_beyond_the_data_span_is_a_fit_error(self):
         # two points span two directions; an emptied 3-dim cluster cannot be re-seeded
@@ -111,6 +116,30 @@ class TestEmMixturePca:
                 stuck += 1
         assert stuck >= 1
 
+    def test_emptied_component_reseeded(self, monkeypatch):
+        # points on the plane x3 = 0 away from the plane x1 = 0: the e1 component
+        # gets no responsibility at a tiny variance and is re-seeded
+        rng = np.random.default_rng(0)
+        x1 = rng.uniform(0.1, 1.0, 100) * rng.choice([-1.0, 1.0], 100)
+        X = np.column_stack([x1, rng.uniform(-1.0, 1.0, 100), np.zeros(100)])
+        e = np.eye(3)
+        init = [SubspaceModel(e[:, [k]], 2, np.zeros(3)) for k in (2, 0)]
+        reseeds = []
+        reseed = baselines._reseed_basis
+
+        def counted_reseed(*args):
+            reseeds.append(args)
+            return reseed(*args)
+
+        monkeypatch.setattr(baselines, "_reseed_basis", counted_reseed)
+        seg, _, _ = em_mixture_pca(X, [2, 2], 1e-8, init_models=init)
+        assert reseeds
+        assert np.isfinite(seg.residuals).all()
+        for model in seg.models:
+            B = model.complement_basis
+            assert B.shape == (3, 1)
+            assert np.allclose(B.T @ B, np.eye(1), atol=1e-12)
+
     def test_variance_floor_and_validation(self):
         X, _, _ = generate(ArrangementSpec(3, (2, 2), 60, 0.0, seed=4))
         for bad in (0.0, -1e-3, np.nan, np.inf):
@@ -119,6 +148,39 @@ class TestEmMixturePca:
         # exact-fit data drives variances to the floor without blowing up
         seg, _, _ = em_mixture_pca(X, [2, 2], 1e-3, seed=5)
         assert np.isfinite(seg.residuals).all()
+
+
+class TestMixedDims:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_truth_init_noiseless_fixpoint(self, seed):
+        # bases of widths 3, 2 and 1 share one residual product
+        X, models, labels = generate(ArrangementSpec(4, (1, 2, 3), 200, 0.0, seed=seed))
+        seg, iterations = k_subspaces(X, [1, 2, 3], init_models=models)
+        assert iterations == 1
+        em_seg, _, em_iterations = em_mixture_pca(X, [1, 2, 3], 1e-8, init_models=models)
+        assert em_iterations <= 5
+        for fitted in (seg, em_seg):
+            assert matched_accuracy(labels, fitted.labels) == 1.0
+            assert angle_error(models, fitted.models) < 1e-10
+
+    def test_batched_complements_match_per_cluster_eigh(self):
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((50, 4))
+        W = rng.uniform(size=(3, 50))
+        dims = (1, 2, 3)
+        batched = baselines._refit(W, baselines._outer_products(X), dims, 4)
+        for w, d, B in zip(W, dims, batched):
+            _, eigvecs = np.linalg.eigh((X * w[:, None]).T @ X)
+            reference = eigvecs[:, : 4 - d]
+            assert B.shape == reference.shape
+            assert np.allclose(np.abs(np.sum(B * reference, axis=0)), 1.0, atol=1e-10)
+
+    def test_residuals_match_per_basis_norms(self):
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((30, 4))
+        bases = [np.linalg.qr(rng.standard_normal((4, c)))[0] for c in (1, 3, 2)]
+        reference = np.stack([np.linalg.norm(X @ B, axis=1) ** 2 for B in bases])
+        assert np.allclose(baselines._residual2(X, bases), reference, rtol=1e-12)
 
 
 def _fit_bytes(result):
