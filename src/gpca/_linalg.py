@@ -151,23 +151,3 @@ def max_principal_angle(A, B):
     angles = principal_angles(A, B)
     return float(angles[0]) if angles.size else 0.0
 
-
-def vector_angle(u, v):
-    """Sign-invariant angle between two nonzero vectors, radians in [0, pi/2].
-
-    Built on atan2 so angles near zero keep full relative precision.
-    """
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("angle with a zero vector is undefined")
-    u = u / nu
-    v = v / nv
-    dot = float(u @ v)
-    if dot < 0.0:
-        v = -v
-        dot = -dot
-    perp = v - dot * u
-    return float(np.arctan2(np.linalg.norm(perp), dot))

@@ -9,9 +9,10 @@ Each iteration is a fixed number of whole-array operations, whatever the
 number of subspaces n. The per-point outer products Z = vec(x xᵀ) are formed
 once per call, an N x D² array (N·D² floats). One product W Z then gives
 every weighted scatter, W being EM's n x N responsibilities or K-subspaces'
-one-hot labels, and one batched eigh gives every refitted complement. One
-product [B_1 ... B_n]ᵀ Xᵀ, summed over each basis's block of rows, gives
-every squared residual.
+one-hot labels, and one batched eigh gives every refitted complement. The n
+complements live in one (n, D, c_max) stack, each zero-padded to the largest
+codimension c_max, so one batched product stackᵀ Xᵀ, squared and summed over
+its c_max axis, gives every squared residual; the padding adds exact zeros.
 """
 
 from __future__ import annotations
@@ -42,7 +43,10 @@ def _resize_complement(B, D, d):
 
 
 def _start(X, dims, seed, init_models):
-    """Float X, int dims, and init models' complements resized to dims, else seeded random ones."""
+    """Float X, int dims, the complement stack and its (n, 1, c_max) column mask.
+
+    The stack holds the init models' complements resized to dims, else seeded random ones.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if not np.isfinite(X).all():
         raise ValueError("points must be finite; got NaN or inf")
@@ -54,19 +58,31 @@ def _start(X, dims, seed, init_models):
         raise ValueError(f"subspace dims must lie strictly between 0 and {D}, got {dims}")
     if init_models is None:
         rng = np.random.default_rng(seed)
-        return X, dims, [np.linalg.qr(rng.standard_normal((D, D - d)))[0] for d in dims]
-    if len(init_models) != len(dims):
+        bases = [np.linalg.qr(rng.standard_normal((D, D - d)))[0] for d in dims]
+    elif len(init_models) != len(dims):
         raise ValueError(f"{len(init_models)} init models for {len(dims)} subspaces")
-    return X, dims, [
-        _resize_complement(np.asarray(m.complement_basis, dtype=float), D, d)
-        for m, d in zip(init_models, dims)
-    ]
+    else:
+        bases = [
+            _resize_complement(np.asarray(m.complement_basis, dtype=float), D, d)
+            for m, d in zip(init_models, dims)
+        ]
+    codims = D - np.array(dims)
+    return X, dims, _stack(bases), (np.arange(codims.max()) < codims[:, None])[:, None, :]
 
 
-def _finish(X, bases, dims, labels) -> Segmentation:
-    """The models of the final bases, each shown by its best-fit member, and their assignment."""
+def _stack(bases):
+    """The (n, D, c_max) stack of complement bases, each zero-padded to c_max columns."""
+    stack = np.zeros((len(bases), bases[0].shape[0], max(B.shape[1] for B in bases)))
+    for slot, B in zip(stack, bases):
+        slot[:, : B.shape[1]] = B
+    return stack
+
+
+def _finish(X, stack, dims, labels) -> Segmentation:
+    """The models of the final stack, each shown by its best-fit member, and their assignment."""
     models = []
-    for cluster, (B, d) in enumerate(zip(bases, dims)):
+    for cluster, (B, d) in enumerate(zip(stack, dims)):
+        B = B[:, : X.shape[1] - d]
         member = np.flatnonzero(labels == cluster)
         if member.size:
             res = np.linalg.norm(X[member] @ B, axis=1)
@@ -108,25 +124,25 @@ def _outer_products(X):
     return (X[:, :, None] * X[:, None, :]).reshape(len(X), -1)
 
 
-def _refit(W, Z, dims, D):
+def _refit(W, Z, mask, D):
     """Every cluster's complement at once, row k of W weighting the points of cluster k.
 
     One product W Z forms the weighted scatters and one batched eigh takes
     their eigenvectors; ascending eigenvalues put the minor directions first.
+    Returns the complement stack, the columns outside `mask` zeroed.
     """
     _, eigvecs = np.linalg.eigh((W @ Z).reshape(-1, D, D))
-    return [V[:, : D - d] for V, d in zip(eigvecs, dims)]
+    return eigvecs[:, :, : mask.shape[2]] * mask
 
 
-def _residual2(X, bases):
-    """n x N squared complement residuals: one product, summed over each basis's rows.
+def _residual2(X, stack):
+    """n x N squared complement residuals: one batched product, summed over c_max.
 
     Cluster-major: a reduction over the clusters of every point then runs
     elementwise over n rows of length N, which numpy does far faster than
     N reductions of length n.
     """
-    starts = np.cumsum([0] + [B.shape[1] for B in bases[:-1]])
-    return np.add.reduceat((np.hstack(bases).T @ X.T) ** 2, starts, axis=0)
+    return np.square(stack.transpose(0, 2, 1) @ X.T).sum(axis=1)
 
 
 def k_subspaces(X, dims, *, seed=0, init_models=None, objective_history: list | None = None):
@@ -142,11 +158,11 @@ def k_subspaces(X, dims, *, seed=0, init_models=None, objective_history: list | 
     `dims`; `init_models` take priority over `seed`. Pass a list as
     `objective_history` to collect the per-iteration values.
     """
-    X, dims, bases = _start(X, dims, seed, init_models)
+    X, dims, stack, mask = _start(X, dims, seed, init_models)
     D = X.shape[1]
     Z = _outer_products(X)
     clusters = np.arange(len(dims))
-    residual2 = _residual2(X, bases)
+    residual2 = _residual2(X, stack)
     labels = np.argmin(residual2, axis=0)
     fit2 = residual2.min(axis=0)
     objective = float(fit2.sum())
@@ -154,10 +170,10 @@ def k_subspaces(X, dims, *, seed=0, init_models=None, objective_history: list | 
         objective_history.append(objective)
     for iterations in range(1, MAX_ITERS + 1):
         onehot = labels == clusters[:, None]
-        bases = _refit(onehot.astype(float), Z, dims, D)
+        stack = _refit(onehot.astype(float), Z, mask, D)
         for k in np.flatnonzero(~onehot.any(axis=1)):
-            bases[k] = _reseed_basis(X, fit2, dims[k], D)
-        residual2 = _residual2(X, bases)
+            stack[k, :, : D - dims[k]] = _reseed_basis(X, fit2, dims[k], D)
+        residual2 = _residual2(X, stack)
         new_labels = np.argmin(residual2, axis=0)
         fit2 = residual2.min(axis=0)
         new_objective = float(fit2.sum())
@@ -168,7 +184,7 @@ def k_subspaces(X, dims, *, seed=0, init_models=None, objective_history: list | 
         objective = new_objective
         if done:
             break
-    return _finish(X, bases, dims, labels), iterations
+    return _finish(X, stack, dims, labels), iterations
 
 
 def em_mixture_pca(
@@ -197,14 +213,14 @@ def em_mixture_pca(
     """
     if not (np.isfinite(noise_variance) and noise_variance > 0):
         raise ValueError(f"noise variance must be finite and positive, got {noise_variance}")
-    X, dims, bases = _start(X, dims, seed, init_models)
+    X, dims, stack, mask = _start(X, dims, seed, init_models)
     D = X.shape[1]
     Z = _outer_products(X)
     codims = np.array([D - d for d in dims], dtype=float)
     sigma2 = np.full(len(dims), float(noise_variance))
     weights = np.full(len(dims), 1.0 / len(dims))
     log_likelihood = -np.inf
-    residual2 = _residual2(X, bases)
+    residual2 = _residual2(X, stack)
     for iterations in range(1, MAX_ITERS + 1):
         log_density = (
             (np.log(weights) - 0.5 * codims * np.log(2.0 * np.pi * sigma2))[:, None]
@@ -220,11 +236,11 @@ def em_mixture_pca(
             likelihood_history.append(new_log_likelihood)
 
         mass = responsibilities.sum(axis=1)
-        bases = _refit(responsibilities, Z, dims, D)
+        stack = _refit(responsibilities, Z, mask, D)
         for k in np.flatnonzero(mass <= 1e-10):
-            bases[k] = _reseed_basis(X, residual2.min(axis=0), dims[k], D)
+            stack[k, :, : D - dims[k]] = _reseed_basis(X, residual2.min(axis=0), dims[k], D)
         mass = np.maximum(mass, 1e-10)
-        residual2 = _residual2(X, bases)
+        residual2 = _residual2(X, stack)
         sigma2 = np.maximum(
             (responsibilities * residual2).sum(axis=1) / (codims * mass), _VARIANCE_FLOOR
         )
@@ -234,4 +250,4 @@ def em_mixture_pca(
             break
         log_likelihood = new_log_likelihood
     labels = np.argmax(responsibilities, axis=0)
-    return _finish(X, bases, dims, labels), responsibilities.T, iterations
+    return _finish(X, stack, dims, labels), responsibilities.T, iterations

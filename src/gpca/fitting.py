@@ -184,7 +184,7 @@ def select_rank(
     return RankDecision(
         effective_rank=rank,
         nullity=total - rank,
-        criterion_values=tuple(float(v) for v in values[0]),
+        criterion_values=tuple(values[0].tolist()),
     )
 
 

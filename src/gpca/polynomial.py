@@ -73,9 +73,13 @@ class PolynomialBasis:
                 f"degree {self.degree} in dim {self.dim} needs a nonempty (m, {count}) "
                 f"coefficient stack, got shape {stack.shape}"
             )
-        sv = np.linalg.svd(stack, compute_uv=False)
-        if stack.shape[0] > count or sv[-1] <= _INDEPENDENCE_RTOL * sv[0]:
-            raise ValueError("coefficient vectors are not linearly independent")
+        # orthonormal rows, such as null_vectors gives, are independent: every
+        # singular value is 1 to rounding, so only other stacks need the SVD
+        m = stack.shape[0]
+        if m > count or not np.abs(stack @ stack.T - np.eye(m)).max() <= 1e-12:
+            sv = np.linalg.svd(stack, compute_uv=False)
+            if m > count or sv[-1] <= _INDEPENDENCE_RTOL * sv[0]:
+                raise ValueError("coefficient vectors are not linearly independent")
         stack.flags.writeable = False
         object.__setattr__(self, "coefficients", stack)
 

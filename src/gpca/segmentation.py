@@ -76,8 +76,9 @@ class SubspaceModel:
             raise ValueError(
                 f"dim {self.dim} inconsistent with a {D}x{c} complement basis"
             )
-        gram = B.T @ B
-        if not np.allclose(gram, np.eye(c), atol=1e-10):
+        # np.allclose(BᵀB, I, atol=1e-10) written out; a NaN fails the comparison
+        eye = np.eye(c)
+        if not (np.abs(B.T @ B - eye) <= 1e-10 + 1e-5 * eye).all():
             raise ValueError("complement basis columns are not orthonormal")
         B = B.copy()
         B.flags.writeable = False

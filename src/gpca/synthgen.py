@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._linalg import max_principal_angle, orthonormal_completion, vector_angle
+from ._linalg import max_principal_angle, orthonormal_completion
 from .errors import InputError
 from .segmentation import SubspaceModel
 
@@ -151,6 +151,15 @@ def _complement_of(model):
     return np.atleast_2d(np.asarray(model, dtype=float))
 
 
+def _unit_columns(normals):
+    """The (D, 1) normals as the unit columns of one D x k array."""
+    V = np.hstack(normals)
+    norms = np.linalg.norm(V, axis=0)
+    if not norms.all():
+        raise ValueError("angle with a zero vector is undefined")
+    return V / norms
+
+
 def angle_error(true_models, estimated_models) -> float:
     """Mean angle (degrees) between true and estimated complement spaces.
 
@@ -172,10 +181,18 @@ def angle_error(true_models, estimated_models) -> float:
     angle = np.zeros((n, n))
     for i, bt in enumerate(true_bases):
         for j, be in enumerate(est_bases):
-            if bt.shape[1] == 1 and be.shape[1] == 1:
-                angle[i, j] = vector_angle(bt[:, 0], be[:, 0])
-            else:
+            if bt.shape[1] > 1 or be.shape[1] > 1:
                 angle[i, j] = max_principal_angle(bt, be)
+    # every pair of hyperplane normals at once, sign-free, on atan2 so that
+    # angles near zero keep full relative precision
+    t_idx = [i for i, b in enumerate(true_bases) if b.shape[1] == 1]
+    e_idx = [j for j, b in enumerate(est_bases) if b.shape[1] == 1]
+    if t_idx and e_idx:
+        T = _unit_columns([true_bases[i] for i in t_idx])
+        E = _unit_columns([est_bases[j] for j in e_idx])
+        cos = T.T @ E
+        sin = np.linalg.norm(E.T[None] - T.T[:, None] * cos[:, :, None], axis=2)
+        angle[np.ix_(t_idx, e_idx)] = np.arctan2(sin, np.abs(cos))
     rows, cols = linear_sum_assignment(angle)
     return float(np.degrees(angle[rows, cols].mean()))
 

@@ -18,9 +18,10 @@ from util import (
     product_basis,
     random_projection,
     two_coordinate_lines,
+    vector_angle,
 )
 
-from gpca._linalg import max_principal_angle, orthonormal_completion, vector_angle
+from gpca._linalg import max_principal_angle, orthonormal_completion
 from gpca.baselines import em_mixture_pca, k_subspaces
 from gpca.discovery import discover_equal_dim, recursive_segment
 from gpca.errors import DiscoveryError

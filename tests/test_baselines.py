@@ -168,19 +168,69 @@ class TestMixedDims:
         X = rng.standard_normal((50, 4))
         W = rng.uniform(size=(3, 50))
         dims = (1, 2, 3)
-        batched = baselines._refit(W, baselines._outer_products(X), dims, 4)
-        for w, d, B in zip(W, dims, batched):
+        mask = baselines._start(X, dims, 0, None)[3]
+        stack = baselines._refit(W, baselines._outer_products(X), mask, 4)
+        assert stack.shape == (3, 4, 3)
+        for w, d, padded in zip(W, dims, stack):
             _, eigvecs = np.linalg.eigh((X * w[:, None]).T @ X)
             reference = eigvecs[:, : 4 - d]
+            B = padded[:, : 4 - d]
             assert B.shape == reference.shape
             assert np.allclose(np.abs(np.sum(B * reference, axis=0)), 1.0, atol=1e-10)
+            assert not padded[:, 4 - d :].any()
 
     def test_residuals_match_per_basis_norms(self):
         rng = np.random.default_rng(9)
         X = rng.standard_normal((30, 4))
         bases = [np.linalg.qr(rng.standard_normal((4, c)))[0] for c in (1, 3, 2)]
         reference = np.stack([np.linalg.norm(X @ B, axis=1) ** 2 for B in bases])
-        assert np.allclose(baselines._residual2(X, bases), reference, rtol=1e-12)
+        stack = baselines._stack(bases)
+        assert stack.shape == (3, 4, 3)
+        assert np.allclose(baselines._residual2(X, stack), reference, rtol=1e-12)
+
+    @pytest.mark.parametrize("fit", ["k_subspaces", "em_mixture_pca"])
+    def test_reseed_below_the_largest_codimension(self, fit, monkeypatch):
+        # dims (1, 3) in R^4 with the points on the line of e1, away from the
+        # hyperplane x1 = 0: that hyperplane's cluster, of codimension 1 below
+        # c_max = 3, empties and is re-seeded into its zero-padded slot
+        rng = np.random.default_rng(0)
+        X = np.zeros((100, 4))
+        X[:, 0] = rng.uniform(0.1, 1.0, 100) * rng.choice([-1.0, 1.0], 100)
+        e = np.eye(4)
+        init = [
+            SubspaceModel(e[:, [1, 2, 3]], 1, np.zeros(4)),
+            SubspaceModel(e[:, [0]], 3, np.zeros(4)),
+        ]
+        stacks = []
+        residual2 = baselines._residual2
+
+        def spy(X, stack):
+            stacks.append(stack.copy())
+            return residual2(X, stack)
+
+        reseeds = []
+        reseed = baselines._reseed_basis
+
+        def counted_reseed(*args):
+            reseeds.append(args[2])
+            return reseed(*args)
+
+        monkeypatch.setattr(baselines, "_residual2", spy)
+        monkeypatch.setattr(baselines, "_reseed_basis", counted_reseed)
+        if fit == "k_subspaces":
+            seg, _ = k_subspaces(X, [1, 3], init_models=init)
+        else:
+            seg, _, _ = em_mixture_pca(X, [1, 3], 1e-8, init_models=init)
+        assert 3 in reseeds
+        for model, d in zip(seg.models, (1, 3)):
+            B = model.complement_basis
+            assert B.shape == (4, 4 - d)
+            assert np.allclose(B.T @ B, np.eye(4 - d), atol=1e-12)
+        for stack in stacks[1:]:
+            bases = [stack[0, :, :3], stack[1, :, :1]]
+            assert not stack[1, :, 1:].any()
+            reference = np.stack([np.linalg.norm(X @ B, axis=1) ** 2 for B in bases])
+            assert np.allclose(residual2(X, stack), reference, rtol=1e-12)
 
 
 def _fit_bytes(result):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
+from util import vector_angle
 
-from gpca._linalg import vector_angle
 from gpca.errors import InputError
 from gpca.metrics import matched_accuracy
 from gpca.motion import (

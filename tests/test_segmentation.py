@@ -12,6 +12,7 @@ from util import (
     peel,
     product_basis,
     svd_distance2,
+    vector_angle,
 )
 
 from gpca._linalg import (
@@ -19,7 +20,6 @@ from gpca._linalg import (
     null_vectors,
     orthonormal_completion,
     triangular_factor,
-    vector_angle,
 )
 from gpca.errors import FitError, StageError
 from gpca.fitting import embed, fit_vanishing
@@ -57,6 +57,27 @@ class TestSubspaceModel:
                 dim=2,
                 representative=np.zeros(3),
             )
+
+    @pytest.mark.parametrize(
+        "off, scale2, accepted",
+        [
+            (2e-10, 1.0, False),
+            (5e-11, 1.0, True),
+            (np.nan, 1.0, False),
+            (0.0, 1 + 5e-6, True),
+            (0.0, 1 + 2e-5, False),
+        ],
+    )
+    def test_orthonormality_tolerance_is_allclose(self, off, scale2, accepted):
+        # the Gram test is np.allclose(gram, I, atol=1e-10): 1e-10 off the
+        # diagonal, 1e-10 + 1e-5 on it, and a NaN fails
+        B = np.array([[1.0, off], [0.0, np.sqrt(scale2)], [0.0, 0.0]])
+        assert np.allclose(B.T @ B, np.eye(2), atol=1e-10) == accepted
+        if accepted:
+            SubspaceModel(complement_basis=B, dim=1, representative=np.zeros(3))
+        else:
+            with pytest.raises(ValueError, match="orthonormal"):
+                SubspaceModel(complement_basis=B, dim=1, representative=np.zeros(3))
 
     def test_dimension_bounds(self):
         with pytest.raises(ValueError):
@@ -499,8 +520,6 @@ class TestRejectOutliers:
     def test_chi2_false_rejections_are_rare(self):
         # Calibration check of the chi-square statistic itself, driven by the
         # exact ideal basis; dof = per-point codimension (1 for planes in R^3).
-        from gpca._linalg import vector_angle
-
         false_rejections, total = 0, 0
         for seed in range(30):
             rng = np.random.default_rng(seed)

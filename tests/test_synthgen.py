@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
+from util import vector_angle
 
+from gpca._linalg import max_principal_angle
 from gpca.segmentation import SubspaceModel
 from gpca.synthgen import (
     ArrangementSpec,
@@ -114,6 +117,37 @@ class TestAngleError:
         a = self.plane_model([1.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             angle_error([a], [a, a])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_batched_normals_match_per_pair_angles(self, seed):
+        # hyperplane normals of either sign, scaled, and mixed with wider
+        # complements: every pair scores as vector_angle or max_principal_angle
+        rng = np.random.default_rng(seed)
+        D, n = 4, 6
+        widths = [1, 1, 2, 1, 3, 1] if seed % 2 else [1] * n
+        true = [np.linalg.qr(rng.standard_normal((D, c)))[0] for c in widths]
+        est = [B + 1e-3 * rng.standard_normal(B.shape) for B in true[::-1]]
+        est = [np.linalg.qr(B)[0] * rng.choice([-1.0, 1.0]) for B in est]
+        est = [B * rng.uniform(0.5, 3.0) if B.shape[1] == 1 else B for B in est]
+        angle = np.array(
+            [
+                [
+                    vector_angle(t[:, 0], e[:, 0])
+                    if t.shape[1] == e.shape[1] == 1
+                    else max_principal_angle(t, e)
+                    for e in est
+                ]
+                for t in true
+            ]
+        )
+        rows, cols = linear_sum_assignment(angle)
+        reference = np.degrees(angle[rows, cols].mean())
+        assert angle_error(true, est) == pytest.approx(reference, rel=1e-12, abs=1e-12)
+
+    def test_zero_normal_rejected(self):
+        a = self.plane_model([1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="zero vector"):
+            angle_error([a], [np.zeros((3, 1))])
 
     def test_general_dims_use_principal_angles(self):
         line_a = SubspaceModel(

@@ -1,4 +1,4 @@
-"""Shared builders for test arrangements, and polynomial oracles."""
+"""Shared builders for test arrangements, polynomial oracles and the per-pair normal angle."""
 
 import numpy as np
 
@@ -130,3 +130,24 @@ def svd_distance2(P, X):
     d2 = np.where(keep, (proj / safe_sv) ** 2, 0.0).sum(axis=1) / float(P.degree) ** 2
     d2 = np.where(d2 > _ROUNDING_D2 * np.einsum("nd,nd->n", X, X), d2, 0.0)
     return np.where(top > 0.0, d2, np.inf)
+
+
+def vector_angle(u, v):
+    """Sign-invariant angle between two nonzero vectors, radians in [0, pi/2].
+
+    Built on atan2 so angles near zero keep full relative precision.
+    """
+    u = np.asarray(u, dtype=float).ravel()
+    v = np.asarray(v, dtype=float).ravel()
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        raise ValueError("angle with a zero vector is undefined")
+    u = u / nu
+    v = v / nv
+    dot = float(u @ v)
+    if dot < 0.0:
+        v = -v
+        dot = -dot
+    perp = v - dot * u
+    return float(np.arctan2(np.linalg.norm(perp), dot))
