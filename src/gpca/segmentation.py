@@ -325,6 +325,18 @@ def segment(X, n: int) -> Segmentation:
     )
 
 
+def _chi2_quantile(q: float, dof: int) -> float:
+    """Chi-square quantile, as scipy.stats.chi2.ppf computes it.
+
+    After scipy.linalg, scipy.special imports in about 0.04 s and scipy.stats
+    in about 0.7 s.
+    """
+    # scipy is imported on first use: it takes longer to import than gpca.
+    from scipy.special import gammaincinv
+
+    return float(2.0 * gammaincinv(dof / 2.0, q))
+
+
 def reject_outliers(
     X,
     P: PolynomialBasis,
@@ -352,15 +364,12 @@ def reject_outliers(
     if mode == "percentile":
         mask = d2 <= np.quantile(d2, threshold)
     elif mode == "chi2":
-        # scipy is imported on first use: it takes longer to import than gpca.
-        from scipy import stats
-
         dof = P.degree if dof is None else int(dof)
-        sigma2 = float(np.median(d2)) / stats.chi2.median(dof)
+        sigma2 = float(np.median(d2)) / _chi2_quantile(0.5, dof)
         if sigma2 <= 1e-300:
             mask = np.ones(X.shape[0], dtype=bool)
         else:
-            mask = d2 / sigma2 <= stats.chi2.ppf(threshold, dof)
+            mask = d2 / sigma2 <= _chi2_quantile(threshold, dof)
     else:
         raise ValueError(f"unknown outlier mode {mode!r}")
     if not mask.any():

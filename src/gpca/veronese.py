@@ -12,9 +12,11 @@ order.
 In this order the degree-k monomials led by x_v are x_v times the last
 monomial_count(k - 1, D - v) monomials of degree k - 1, those in x_v..x_D.
 A lift therefore builds each degree from the one below as D column-scaled
-tail blocks. One index table, (degree-(n-1) monomial, variable) -> position
-of the raised monomial, carries differentiation and multiplication by a
-linear form.
+tail blocks, each multiplied in place into its columns of one column-major
+array: no temporaries, no concatenation, and the layout in which LAPACK's
+QR reads the lift. One index table, (degree-(n-1) monomial, variable) ->
+position of the raised monomial, carries differentiation and
+multiplication by a linear form.
 """
 
 from __future__ import annotations
@@ -71,17 +73,24 @@ def veronese_lift(x, degree: int) -> np.ndarray:
     """Evaluate all degree-n monomials at x.
 
     x may be a single D-vector (returns shape (M,)) or an (N, D) batch of
-    points (returns shape (N, M)), with M = monomial_count(degree, D).
+    points (returns shape (N, M)), with M = monomial_count(degree, D). The
+    batch is column-major.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
     dim = pts.shape[1]
     monomial_count(degree, dim)  # rejects degree < 0 and points without coordinates
-    lifted = np.ones((pts.shape[0], 1))
+    # Column-major, so every column block below is one contiguous run.
+    pts = np.asfortranarray(pts)
+    lifted = np.ones((pts.shape[0], 1), order="F")
     for k in range(1, degree + 1):
-        tails = [lifted[:, -monomial_count(k - 1, dim - v) :] for v in range(dim)]
-        lifted = np.hstack([pts[:, v : v + 1] * tail for v, tail in enumerate(tails)])
+        below, lifted = lifted, np.empty((pts.shape[0], monomial_count(k, dim)), order="F")
+        start = 0
+        for v in range(dim):
+            width = monomial_count(k - 1, dim - v)
+            np.multiply(pts[:, v : v + 1], below[:, -width:], out=lifted[:, start : start + width])
+            start += width
     return lifted[0] if single else lifted
 
 

@@ -53,8 +53,17 @@ class TestLeftSvd:
         assert np.allclose(left.T @ left, np.eye(k), atol=1e-14)
 
 
-SHAPES = [(12, 300), (40, 40), (30, 12), (1, 5), (5, 1)]
-SHAPE_IDS = ["wide", "square", "tall", "one-row", "one-column"]
+SHAPES = [(12, 300), (40, 40), (30, 12), (1, 5), (5, 1), (70, 800), (100, 90), (80, 50)]
+SHAPE_IDS = [
+    "wide",
+    "square",
+    "tall",
+    "one-row",
+    "one-column",
+    "wide-blocked",
+    "near-square-blocked",
+    "tall-blocked",
+]
 
 
 class TestTriangularFactor:
@@ -71,6 +80,23 @@ class TestTriangularFactor:
         ref_sv = np.linalg.svd(A, compute_uv=False)
         assert np.all(np.abs(sv[: min(M, N)] - ref_sv) <= 1e-13 * ref_sv[0])
         assert np.all(sv[min(M, N) :] <= 1e-13 * ref_sv[0])
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_equals_numpy_qr(self, shape, layout):
+        # numpy's QR makes the same Householder reflectors, so R agrees entry
+        # by entry, signs included, and the zero padding is exact
+        A = np.random.default_rng(sum(shape)).standard_normal(shape)
+        if layout == "F":
+            A = np.asfortranarray(A)
+        elif layout == "strided":
+            A = np.repeat(A, 2, axis=1)[:, ::2]
+        R = triangular_factor(A)
+        M, N = shape
+        ref = np.zeros((M, M))
+        ref[: min(M, N)] = np.linalg.qr(A.T, mode="r")
+        assert np.abs(R - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.all(R[min(M, N) :] == 0.0)
 
     @pytest.mark.parametrize("shape", [(6, 30), (6, 6), (8, 6)])
     def test_all_zero_input(self, shape):

@@ -27,6 +27,7 @@ from gpca.metrics import matched_accuracy
 from gpca.polynomial import PolynomialBasis, lift_matrix
 from gpca.segmentation import (
     SubspaceModel,
+    _chi2_quantile,
     _peel,
     _values_and_gradients,
     algebraic_distance2,
@@ -277,13 +278,16 @@ class TestPeel:
 
         monkeypatch.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
         monkeypatch.setattr(np.linalg, "qr", spy("qr", np.linalg.qr))
+        monkeypatch.setattr(
+            "gpca.segmentation.triangular_factor", spy("factor", triangular_factor)
+        )
         factor = _peel(em.factor, 3, models[0])
         assert factor.shape == (M, M)
         assert np.array_equal(factor, np.triu(factor))
         # the peel stacks the compressed M_3 x M_3 factor of the embedded
         # matrix, never its N columns, and reduces the (6, 10) stack by one
-        # QR of its transpose: no SVD
-        assert calls == [("qr", (M3, M))]
+        # triangular factorization: no SVD and no other QR
+        assert calls == [("factor", (M, M3))]
         assert len(peel(em, models[0])) == 1
 
     def test_peel_stack_is_the_lift_matrix_stack(self, monkeypatch):
@@ -434,7 +438,7 @@ class TestSegmentWork:
 
     def test_one_svd_one_lift_per_degree_one_gradient_batch_per_stage(self, monkeypatch):
         import gpca
-        from gpca import polynomial, veronese
+        from gpca import _linalg, polynomial, veronese
 
         X, _, _ = generate(ArrangementSpec(5, (4, 4, 4, 4), 60, 0.01, seed=12))
         N, M = X.shape[0], monomial_count(4, 5)
@@ -454,7 +458,7 @@ class TestSegmentWork:
         for name, owner, attr in [
             ("lift", veronese, "veronese_lift"),
             ("svd", np.linalg, "svd"),
-            ("qr", np.linalg, "qr"),
+            ("factor", _linalg, "triangular_factor"),
             ("gradients", polynomial, "basis_gradients"),
         ]:
             original = getattr(owner, attr)
@@ -466,8 +470,10 @@ class TestSegmentWork:
         seg = segment(X, 4)
         assert len(seg.stages) == 4
 
-        embedded_qrs = [a for name, a, _ in calls if name == "qr" and np.shape(a[0]) == (N, M)]
-        assert len(embedded_qrs) == 1
+        embedded_factors = [
+            a for name, a, _ in calls if name == "factor" and np.shape(a[0]) == (M, N)
+        ]
+        assert len(embedded_factors) == 1
         assert not [a for name, a, _ in calls if name == "svd" and np.shape(a[0]) == (M, N)]
         batch_lifts = collections.Counter(
             a[1] for name, a, _ in calls if name == "lift" and np.shape(a[0]) == (N, 5)
@@ -537,6 +543,15 @@ class TestRejectOutliers:
             false_rejections += int((~keep).sum())
             total += X.shape[0]
         assert false_rejections / total <= 0.01
+
+    @pytest.mark.parametrize("dof", range(1, 21))
+    def test_chi2_quantile_equals_scipy_stats(self, dof):
+        from scipy import stats
+
+        qs = np.concatenate([[0.5, 0.9, 0.99, 0.999, 0.9999, 0.001], np.linspace(0.05, 0.95, 4)])
+        for q in qs:
+            assert _chi2_quantile(q, dof) == stats.chi2.ppf(q, dof)
+        assert _chi2_quantile(0.5, dof) == stats.chi2.median(dof)
 
     def test_noiseless_data_keeps_everything(self):
         X, _, _ = generate(ArrangementSpec(3, (2, 2), 80, 0.0, seed=12))
