@@ -1,4 +1,4 @@
-"""Subspace segmentation by fitting, differentiating, and dividing polynomials."""
+"""Subspace segmentation by fitting and differentiating polynomials and voting on normal spaces."""
 
 from .baselines import em_mixture_pca, k_subspaces
 from .discovery import (

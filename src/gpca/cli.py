@@ -281,7 +281,7 @@ def cmd_motion(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gpca",
-        description="Subspace segmentation by polynomial fitting, differentiation, and division",
+        description="Subspace segmentation by polynomial fitting, differentiation, and voting",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -19,7 +19,7 @@ import numpy as np
 from ._linalg import left_svd, null_vectors, orthonormal_completion
 from .errors import DiscoveryError, FitError
 from .fitting import embed, hilbert_nullity, select_rank
-from .segmentation import Segmentation, SubspaceModel, assign, segment
+from .segmentation import Segmentation, SubspaceModel, _pca_complement, assign, segment
 from .veronese import monomial_count
 
 __all__ = [
@@ -245,8 +245,7 @@ def recursive_segment(X, n_max: int) -> tuple[Segmentation, DiscoveryReport]:
         members = X[split.labels == group]
         if len(members) < dim:
             raise DiscoveryError(f"{len(members)} points cannot span a {dim}-dim subspace")
-        left, _ = left_svd(members.T)
-        models.append(SubspaceModel(orthonormal_completion(left[:, :dim]), dim, members[0]))
+        models.append(SubspaceModel(_pca_complement(members, dim), dim, members[0]))
     labels, residuals = assign(X, models)
     segmentation = Segmentation(tuple(models), labels, residuals, split.stages)
     leaves = tuple(

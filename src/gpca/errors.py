@@ -10,7 +10,7 @@ class InputError(GpcaError):
 
 
 class FitError(GpcaError):
-    """Polynomial fitting, peeling, or point-selection failure (CLI exit code 3)."""
+    """Polynomial fitting or normal-space vote failure (CLI exit code 3)."""
 
 
 class DegenerateDataError(FitError):
@@ -18,7 +18,7 @@ class DegenerateDataError(FitError):
 
 
 class StageError(FitError):
-    """A segmentation stage failed; remembers which degree was being processed."""
+    """A segmentation fit or vote failed; remembers the degree of the fit."""
 
     def __init__(self, degree, message):
         super().__init__(f"stage degree={degree}: {message}")

@@ -3,7 +3,8 @@
 The coefficient vectors of polynomials that vanish on a union of subspaces
 live in the left null space of the embedded data matrix. With noise the
 null space is read off the smallest singular values, with the number of
-polynomials chosen by a penalized spectral-gap criterion. A fit carries
+polynomials chosen by a penalized spectral-gap criterion; a degree-n fit
+weighs only the nullities n subspaces can have. A fit carries
 the matrix's triangular factor R (R^T R = A A^T): its spectrum is a
 values-only SVD of R and its basis the `null_vectors` of R.
 """
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -65,7 +68,6 @@ class RankDecision:
 
     effective_rank: int
     nullity: int
-    criterion_values: tuple[float, ...]
 
 
 def min_samples(degree: int, dim: int) -> int:
@@ -159,10 +161,10 @@ def select_rank(
     Minimizes sigma_{r+1}^2 / sum_{j<=r} sigma_j^2 + KAPPA * r; singular
     values past the end of the list, up to `total`, count as exact zeros.
     Candidates run over ranks 1 .. total-1 so that a fit always keeps at
-    least one vanishing polynomial; rank probes in model discovery and the
-    gradient rank pass `allow_full_rank=True`, which adds the rank == total
-    candidate (its criterion value is exactly KAPPA * total) and lets
-    nullity 0 mean "no deficiency".
+    least one vanishing polynomial; rank probes in model discovery pass
+    `allow_full_rank=True`, which adds the rank == total candidate (its
+    criterion value is exactly KAPPA * total) and lets nullity 0 mean "no
+    deficiency".
     """
     sv = np.asarray(singular_values, dtype=float).ravel()
     if sv.size == 0:
@@ -177,32 +179,34 @@ def select_rank(
     max_rank = total if allow_full_rank else total - 1
     if max_rank < 1:
         raise ValueError(f"no candidate ranks in [1, {max_rank}]")
-    padded = np.zeros((1, total))
-    padded[0, : sv.size] = sv
-    ranks, values = _rank_criterion(padded, KAPPA, max_rank)
-    rank = int(ranks[0])
-    return RankDecision(
-        effective_rank=rank,
-        nullity=total - rank,
-        criterion_values=tuple(values[0].tolist()),
-    )
+    rank = int(_rank_criterion(np.pad(sv, (0, total - sv.size))[None], KAPPA, max_rank)[0][0])
+    return RankDecision(effective_rank=rank, nullity=total - rank)
 
 
-def _null_space_fit(
-    factor: np.ndarray, singular_values: np.ndarray, degree: int, dim: int
-) -> tuple[PolynomialBasis, RankDecision]:
-    """Vanishing basis and rank decision from a triangular factor and its spectrum.
-
-    The basis rows are the factor's `null_vectors` at the decided nullity,
-    smallest singular value first.
-    """
-    decision = select_rank(singular_values, total=monomial_count(degree, dim))
-    rows = null_vectors(factor, decision.nullity).T
-    return PolynomialBasis(degree, dim, rows), decision
+@lru_cache(maxsize=None)
+def _arrangement_nullities(degree: int, dim: int) -> tuple[int, ...]:
+    """Descending `hilbert_nullity` values of every multiset of `degree` dims in R^dim."""
+    dims_sets = combinations_with_replacement(range(1, dim), degree)
+    return tuple(sorted({hilbert_nullity(dims, dim, degree) for dims in dims_sets}, reverse=True))
 
 
 def fit_vanishing(embedded: EmbeddedMatrix) -> tuple[PolynomialBasis, RankDecision]:
-    """Least-squares vanishing basis of the embedded points, and the rank decision that sized it."""
-    return _null_space_fit(
-        embedded.factor, embedded.singular_values, embedded.degree, embedded.dim
-    )
+    """Least-squares vanishing basis of the embedded points, and the rank decision that sized it.
+
+    A degree-n fit models n subspaces, so `select_rank`'s criterion is
+    minimized only over the nullities an arrangement of n subspaces can
+    have: the `hilbert_nullity` of some n-multiset of dims (ties to the lowest
+    rank). The basis rows are the factor's `null_vectors` at that nullity,
+    smallest singular value first.
+    """
+    degree, dim, sv = embedded.degree, embedded.dim, embedded.singular_values
+    nullities = _arrangement_nullities(degree, dim)
+    if not nullities:
+        raise ValueError(f"no arrangement of {degree} subspaces lives in R^{dim}")
+    if not sv[0] > 0.0:
+        raise DegenerateDataError("all singular values are zero")
+    # the spectrum holds all M values of the square factor; rank r is column r - 1
+    values = _rank_criterion(sv[None], KAPPA, len(sv) - 1)[1][0]
+    nullity = nullities[int(np.argmin(values[len(sv) - np.array(nullities) - 1]))]
+    rows = null_vectors(embedded.factor, nullity).T
+    return PolynomialBasis(degree, dim, rows), RankDecision(len(sv) - nullity, nullity)

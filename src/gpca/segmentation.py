@@ -1,14 +1,17 @@
-"""Segmenting a known number of subspaces by differentiating and dividing.
+"""Segmenting a known number of subspaces by voting on per-point normal spaces.
 
-The pipeline per degree stage: fit the vanishing polynomials, pick the data
-point closest to the arrangement by a first-order distance (`select_point`),
-read the subspace's complement off the polynomial gradients at that point
-(`model_at_point`), then divide the fitted polynomials by the recovered
-linear forms to remove the subspace and repeat one degree lower. Labels
-come last, by smallest residual against the recovered complements.
+One fit at the top degree n gives the vanishing polynomials; their
+gradients at each data point span that point's normal space, the
+complement of the subspace through it (Vidal, Ma, Sastry, PAMI 2005).
+n vote rounds then pick the subspaces (Ma, Yang, Derksen, Fossum, SIAM
+Review 2008): a round's candidates are evenly spaced remaining points,
+every remaining point votes for the candidates whose normal space agrees
+with its own, and the winner's voters give its complement and leave.
+Labels come by smallest residual against the complements, each
+complement is refit by PCA on its points, and the labels are read again.
 
-Each stage lifts the points once, to degree n-1: the gradients give the
-values too, by Euler's identity. Distances at rounding level are exactly 0.
+`select_point` is one vote round and `model_at_point` the normal space at
+one point, over the same helpers. Distances at rounding level are exactly 0.
 """
 
 from __future__ import annotations
@@ -19,15 +22,8 @@ import numpy as np
 
 from ._linalg import triangular_factor
 from .errors import FitError, StageError
-from .fitting import (
-    KAPPA,
-    _null_space_fit,
-    _rank_criterion,
-    embed,
-    select_rank,
-)
+from .fitting import KAPPA, _rank_criterion, embed, fit_vanishing
 from .polynomial import PolynomialBasis, basis_gradients
-from .veronese import raise_table
 
 __all__ = [
     "SubspaceModel",
@@ -41,23 +37,15 @@ __all__ = [
     "reject_outliers",
 ]
 
-# Damping of select_point's score (distance + DELTA) / (residuals + DELTA) once
-# some subspaces are known: the score stays finite on a recovered subspace,
-# where the residual product is 0, and is at least 1 there.
-DELTA = 0.02
-
-# Singular values below this fraction of the largest are treated as zero in
-# pseudo-inverses and gradient rank checks.
+# Singular values below this fraction of the largest are zero in pseudo-inverses.
 PINV_RTOL = 1e-10
 
-# Points closer to the origin than this sit in every subspace and carry no
-# directional information; they are never selected as representatives.
-_MIN_POINT_NORM = 1e-12
-
-# Representative candidates must have gradient magnitude above this fraction
-# of the strongest gradient in the data: the vanishing-gradient exclusion at
-# intersections, applied at floating-point scale.
-_GRADIENT_FLOOR = 0.05
+# A point votes for a candidate of codimension c when the squared sines of
+# the principal angles between their top-c normal spaces sum to at most
+# sin^2(10 degrees). Each round weighs at most _CANDIDATES evenly spaced
+# remaining points, so a round costs O(N) memory.
+_SIN2_TAU = np.sin(np.radians(10.0)) ** 2
+_CANDIDATES = 128
 
 @dataclass(frozen=True, eq=False)
 class SubspaceModel:
@@ -99,7 +87,7 @@ class SubspaceModel:
 
 @dataclass(frozen=True)
 class StageRecord:
-    """Diagnostics for one degree stage of the segmentation loop."""
+    """Diagnostics for one model: the fit's degree and nullity, the vote winner's index, the dim."""
 
     degree: int
     nullity: int
@@ -155,12 +143,7 @@ def algebraic_distance2(P: PolynomialBasis, x):
     ratios are O(1) noise and would swamp the distance.
     """
     x = np.asarray(x, dtype=float)
-    d2, _ = _distance2(P, np.atleast_2d(x))
-    return float(d2[0]) if x.ndim == 1 else d2
-
-
-def _distance2(P: PolynomialBasis, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """algebraic_distance2 at (N, D) points, and the basis gradients (N, D, m) there."""
+    X = np.atleast_2d(x)
     values, grads = _values_and_gradients(P, X)
     if len(P) == 1:
         # A (D, 1) gradient's one singular value is its norm, its right vector [1].
@@ -182,7 +165,8 @@ def _distance2(P: PolynomialBasis, X: np.ndarray) -> tuple[np.ndarray, np.ndarra
     terms = np.where(keep, (proj / safe_sv) ** 2, 0.0)
     d2 = terms.sum(axis=1) / float(P.degree) ** 2
     d2 = np.where(d2 > _ROUNDING_D2 * np.einsum("nd,nd->n", X, X), d2, 0.0)
-    return np.where(top > 0.0, d2, np.inf), grads
+    d2 = np.where(top > 0.0, d2, np.inf)
+    return float(d2[0]) if x.ndim == 1 else d2
 
 
 # Headroom factor between the evident displacement scale and the smallest
@@ -191,76 +175,101 @@ _TRUNCATION_MARGIN = 20.0
 
 # Squared distances at or below this fraction of ||x||^2 (a relative distance
 # of 1e-12) are rounding and count as 0, so exact data ties at zero at any
-# scale and select_point's ties go to the lowest index, not to rounding.
+# scale.
 _ROUNDING_D2 = 1e-24
 
 
-def select_point(P: PolynomialBasis, X, already_found: tuple[SubspaceModel, ...] = ()) -> int:
-    """Index of the best representative point for the next subspace.
+def _normal_spaces(P: PolynomialBasis, X) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point normal spaces (N, D, K) of the basis gradients, and their ranks (N,).
 
-    With no models found yet this is the plain first-order distance argmin.
-    Once some complements are known, the distance is damped by how far each
-    point sits from the already-recovered subspaces, steering the choice
-    onto a subspace not yet seen. Ties resolve to the lowest index.
+    Point j's block holds its gradients' left singular vectors, zeroed past
+    its rank, which the penalized spectral criterion reads (0 where every
+    gradient vanishes). With one polynomial the normal is the unit gradient.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    d2, grads = _distance2(P, X)
-    grad_norm = np.linalg.norm(grads, axis=(1, 2))
-    valid = (
-        np.isfinite(d2)
-        & (np.linalg.norm(X, axis=1) >= _MIN_POINT_NORM)
-        & (grad_norm > _GRADIENT_FLOOR * grad_norm.max())
-    )
-    if not valid.any():
-        raise FitError("no candidate point has a nonzero polynomial gradient")
-    if already_found:
-        dist = np.sqrt(np.where(valid, d2, 0.0))
-        denom = np.ones(X.shape[0])
-        for model in already_found:
-            denom *= model.residuals(X)
-        score = (dist + DELTA) / (denom + DELTA)
+    grads = basis_gradients(P, np.atleast_2d(X))
+    if len(P) == 1:
+        sv = np.linalg.norm(grads, axis=1)
+        normals = grads / np.where(sv > 0.0, sv, 1.0)[:, None, :]
     else:
-        score = d2
-    score = np.where(valid, score, np.inf)
-    return int(np.argmin(score))
+        normals, sv, _ = np.linalg.svd(grads, full_matrices=False)
+    ranks = np.where(sv[:, 0] > 0.0, _rank_criterion(sv, KAPPA, sv.shape[1])[0], 0)
+    normals = normals * (np.arange(sv.shape[1]) < ranks[:, None])[:, None, :]
+    return normals, ranks
+
+
+def _votes(normals: np.ndarray, spaces: np.ndarray) -> np.ndarray:
+    """(k, N) votes: point j's top-c normal space lies within tau of space i of the (k, D, c) stack.
+
+    The squared sines of the principal angles between two c-dimensional
+    spaces sum to c less the inner product of their projectors, so one
+    product of flattened projectors gives every vote (for c = 1, the squared
+    cosines between unit normals).
+    """
+    c = spaces.shape[2]
+    top = normals[:, :, :c]
+    points = np.einsum("ndc,nec->nde", top, top).reshape(len(top), -1)
+    candidates = np.einsum("kdc,kec->kde", spaces, spaces).reshape(len(spaces), -1)
+    return candidates @ points.T >= c - _SIN2_TAU
+
+
+def _vote(normals: np.ndarray, ranks: np.ndarray, remaining: np.ndarray):
+    """One vote round over the remaining points: the winner, its voters and its complement.
+
+    Up to `_CANDIDATES` evenly spaced remaining points of rank 1..D-1 stand;
+    the most votes win, ties to the lowest index. The complement is the top-c
+    left singular vectors of the voters' stacked top-c normals: the top-c
+    eigenvectors of their summed projectors.
+    """
+    pool = np.flatnonzero(remaining & (ranks > 0) & (ranks < normals.shape[1]))
+    if not pool.size:
+        raise FitError("no remaining point has a proper normal space")
+    candidates = pool[np.linspace(0, pool.size - 1, min(pool.size, _CANDIDATES)).astype(int)]
+    voting = np.flatnonzero(remaining)
+    counts = np.zeros(len(candidates), dtype=int)
+    for c in np.unique(ranks[candidates]):
+        same = ranks[candidates] == c
+        counts[same] = _votes(normals[voting], normals[candidates[same], :, :c]).sum(axis=1)
+    winner = int(candidates[np.argmax(counts)])
+    c = int(ranks[winner])
+    voters = voting[_votes(normals[voting], normals[[winner], :, :c])[0]]
+    top = normals[voters, :, :c]
+    _, vectors = np.linalg.eigh(np.einsum("ndc,nec->de", top, top))
+    return winner, voters, vectors[:, ::-1][:, :c]
+
+
+def select_point(P: PolynomialBasis, X, already_found: tuple[SubspaceModel, ...] = ()) -> int:
+    """Index of the winner of one vote round: the next subspace's representative.
+
+    Points whose normal space agrees with an already-found complement have
+    voted for it and sit the round out. Ties resolve to the lowest index.
+    """
+    normals, ranks = _normal_spaces(P, X)
+    remaining = np.ones(len(ranks), dtype=bool)
+    for model in already_found:
+        remaining &= ~_votes(normals, model.complement_basis[None])[0]
+    return _vote(normals, ranks, remaining)[0]
 
 
 def model_at_point(P: PolynomialBasis, y) -> SubspaceModel:
     """Subspace model from the polynomial gradients at one point.
 
-    The gradients' dominant left singular subspace is the complement basis;
-    its rank is chosen by the same penalized spectral criterion used on the
-    embedded data matrix, and the subspace dimension is the ambient
-    dimension minus that rank.
+    The complement basis is the point's normal space: the gradients'
+    dominant left singular vectors, as many as the penalized spectral
+    criterion keeps. The subspace dimension is the ambient dimension less
+    that rank.
     """
     y = np.asarray(y, dtype=float).ravel()
-    D = y.shape[0]
-    grads = basis_gradients(P, y)
-    left, sv, _ = np.linalg.svd(grads, full_matrices=True)
-    if sv[0] <= 0.0:
-        raise FitError("polynomial gradients vanish at the chosen point")
-    rank = select_rank(sv, allow_full_rank=True).effective_rank
-    if rank >= D:
-        raise FitError(
-            "gradients span the whole space; the point is not on any subspace "
-            "at the working tolerance"
-        )
-    return SubspaceModel(
-        complement_basis=left[:, :rank], dim=D - rank, representative=y
-    )
+    normals, ranks = _normal_spaces(P, y)
+    rank = int(ranks[0])
+    if not 0 < rank < y.size:
+        raise FitError(f"the gradients have rank {rank} in R^{y.size}: the point is on no subspace")
+    return SubspaceModel(complement_basis=normals[0, :, :rank], dim=y.size - rank, representative=y)
 
 
-def _peel(factor: np.ndarray, degree: int, model: SubspaceModel) -> np.ndarray:
-    """Triangular factor of the degree-(degree-1) fitting matrix once the model is divided out.
-
-    The factor's transpose keeps the degree-`degree` matrix's spectrum and
-    column span. Its product with the lift of a complement direction b has
-    row f = sum_v b_v * (row of f * x_v); these blocks, side by side in
-    complement-basis order, are reduced by `triangular_factor`'s QR.
-    """
-    raised = factor.T[raise_table(degree, model.ambient_dim)]
-    blocks = model.complement_basis.T @ raised
-    return triangular_factor(blocks.reshape(blocks.shape[0], -1))
+def _pca_complement(members: np.ndarray, dim: int) -> np.ndarray:
+    """Complement of the rows' dim-dim PCA subspace: trailing right vectors of their factor."""
+    _, _, rows = np.linalg.svd(triangular_factor(members.T))
+    return rows[dim:].T
 
 
 def assign(X, models) -> tuple[np.ndarray, np.ndarray]:
@@ -278,51 +287,37 @@ def assign(X, models) -> tuple[np.ndarray, np.ndarray]:
 def segment(X, n: int) -> Segmentation:
     """Segment a union of n subspaces from unlabeled points.
 
-    Runs the descending-degree loop on the unit-norm points: fit vanishing
-    polynomials, pick one representative point with `select_point`, read
-    that subspace's complement off the gradients with `model_at_point`,
-    peel the subspace off by polynomial division, and finally assign every
-    point to its nearest recovered subspace.
+    Fits the vanishing polynomials once at degree n on the unit-norm points,
+    reads every point's normal space off their gradients, and runs n vote
+    rounds (`_vote`), each giving one subspace whose voters leave. Every
+    point then goes to its nearest subspace, each subspace is refit by PCA
+    on its points (a group of fewer than dim points keeps its voted
+    complement), and the points are assigned again.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if n < 1:
         raise ValueError("need n >= 1 subspaces")
-    embedded = embed(X, n)
-    points, dim = embedded.points, embedded.dim
-    factor, sv = embedded.factor, embedded.singular_values
-    models: list[SubspaceModel] = []
-    stages: list[StageRecord] = []
-    for degree in range(n, 0, -1):
-        try:
-            basis, decision = _null_space_fit(factor, sv, degree, dim)
-            if degree == n:
-                top_basis = basis
-            idx = select_point(basis, points, tuple(models))
-            model = model_at_point(basis, points[idx])
-            models.append(model)
-            stages.append(
-                StageRecord(
-                    degree=degree,
-                    nullity=decision.nullity,
-                    picked_index=idx,
-                    model_dim=model.dim,
-                )
-            )
-            if degree > 1:
-                factor = _peel(factor, degree, model)
-                sv = np.linalg.svd(factor, compute_uv=False)
-        except FitError as exc:
-            if isinstance(exc, StageError):
-                raise
-            raise StageError(degree, str(exc)) from exc
+    try:
+        embedded = embed(X, n)
+        basis, decision = fit_vanishing(embedded)
+        normals, ranks = _normal_spaces(basis, embedded.points)
+        remaining = np.ones(len(X), dtype=bool)
+        models, stages = [], []
+        for _ in range(n):
+            winner, voters, complement = _vote(normals, ranks, remaining)
+            remaining[voters] = False
+            dim = X.shape[1] - complement.shape[1]
+            models.append(SubspaceModel(complement, dim, embedded.points[winner]))
+            stages.append(StageRecord(n, decision.nullity, winner, dim))
+    except FitError as exc:
+        raise StageError(n, str(exc)) from exc
+    labels, _ = assign(X, models)
+    for k, m in enumerate(models):
+        members = X[labels == k]
+        if len(members) >= m.dim:
+            models[k] = SubspaceModel(_pca_complement(members, m.dim), m.dim, m.representative)
     labels, residuals = assign(X, models)
-    return Segmentation(
-        models=tuple(models),
-        labels=labels,
-        residuals=residuals,
-        stages=tuple(stages),
-        vanishing_basis=top_basis,
-    )
+    return Segmentation(tuple(models), labels, residuals, tuple(stages), basis)
 
 
 def _chi2_quantile(q: float, dof: int) -> float:

@@ -91,6 +91,12 @@ class TestEpipolarLines:
         errors = epipole_errors_deg(calibrated_epipoles(epipoles), seg.models)
         assert errors.max() < 1e-6
 
+    def test_noisy_translations_once_misfit_find_both_epipoles(self):
+        # 0.5 px noise; a sequential pick once put the second epipole 49 deg off
+        corr, epipoles, _ = synthetic_translations(2, 100, 0.5, 2502996818, FOCAL)
+        seg = segment(epipolar_lines(corr / FOCAL).lines, 2)
+        assert epipole_errors_deg(calibrated_epipoles(epipoles), seg.models).max() < 3.0
+
 
 class TestTrajectoryMatrix:
     def test_single_motion_rank_at_most_four(self):

@@ -2,18 +2,12 @@
 
 import numpy as np
 
-from gpca._linalg import orthonormal_completion
-from gpca.fitting import KAPPA, _null_space_fit, _rank_criterion
+from gpca._linalg import null_vectors, orthonormal_completion, triangular_factor
+from gpca.fitting import KAPPA, _rank_criterion, select_rank
 from gpca.polynomial import HomogeneousPolynomial, PolynomialBasis, basis_gradients, lift_matrix
-from gpca.segmentation import (
-    _ROUNDING_D2,
-    _TRUNCATION_MARGIN,
-    PINV_RTOL,
-    _peel,
-    _values_and_gradients,
-)
+from gpca.segmentation import _ROUNDING_D2, _TRUNCATION_MARGIN, PINV_RTOL, _values_and_gradients
 from gpca.synthgen import generate_from_bases
-from gpca.veronese import monomial_basis, monomial_count
+from gpca.veronese import monomial_basis, monomial_count, raise_table
 
 # Introductory configuration: the z-axis line union the xy-plane.
 LINE_SPAN = np.array([[0.0], [0.0], [1.0]])
@@ -83,10 +77,19 @@ def product_of_linear_forms(normals):
 
 
 def peel(embedded, model):
-    """The vanishing basis one degree down once `model` is divided out, as in `segment`."""
-    factor = _peel(embedded.factor, embedded.degree, model)
-    sv = np.linalg.svd(factor, compute_uv=False)
-    return _null_space_fit(factor, sv, embedded.degree - 1, embedded.dim)[0]
+    """The vanishing basis one degree down once `model` is divided out of the fit.
+
+    The factor's transpose keeps the embedded matrix's spectrum and column
+    span. Its product with the lift of a complement direction b has row
+    f = sum_v b_v * (row of f * x_v); these blocks, side by side, are reduced
+    by one triangular factorization, and `select_rank` sizes the basis.
+    """
+    raised = embedded.factor.T[raise_table(embedded.degree, embedded.dim)]
+    blocks = model.complement_basis.T @ raised
+    factor = triangular_factor(blocks.reshape(blocks.shape[0], -1))
+    total = monomial_count(embedded.degree - 1, embedded.dim)
+    nullity = select_rank(np.linalg.svd(factor, compute_uv=False), total=total).nullity
+    return PolynomialBasis(embedded.degree - 1, embedded.dim, null_vectors(factor, nullity).T)
 
 
 def polynomial_from_text(text):
