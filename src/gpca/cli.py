@@ -52,19 +52,15 @@ EXIT_FIT = 3
 EXIT_DISCOVERY = 4
 
 
-def _write_json(payload, path):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
-
-
 def _write_text(text, path):
     if path is None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
+
+
+def _write_json(payload, path):
+    _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", path)
 
 
 def _finite(array, path):
@@ -301,9 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--n-max", dest="n_max", type=int, required=True)
     p.add_argument(
-        "--equal-dim",
-        action="store_true",
-        help="consider only arrangements of equal dimensions",
+        "--equal-dim", action="store_true", help="consider only arrangements of equal dimensions"
     )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_discover)
@@ -319,10 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="2", help="motion count or 'auto'")
     p.add_argument("--n-max", dest="n_max", type=int, default=4)
     p.add_argument(
-        "--focal",
-        type=float,
-        default=None,
-        help="focal length in pixels; scales image coordinates to rays",
+        "--focal", type=float, help="focal length in pixels; scales image coordinates to rays"
     )
     p.add_argument("--format", choices=("tracks", "w-matrix"), default="tracks")
     p.add_argument("--out", default=None)
@@ -336,18 +327,10 @@ def main(argv=None) -> int:
     try:
         _check_args(args)
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DiscoveryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DISCOVERY
-    except FitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FIT
     except GpcaError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        codes = {DiscoveryError: EXIT_DISCOVERY, FitError: EXIT_FIT}
+        return next((code for kind, code in codes.items() if isinstance(exc, kind)), EXIT_INPUT)
 
 
 if __name__ == "__main__":

@@ -127,7 +127,7 @@ def _probe(X, degree) -> RankProbe:
     embedded = embed(X, degree, warn=False)
     dim = X.shape[1]
     count = monomial_count(degree, dim)
-    decision = select_rank(embedded.singular_values, total=count, allow_full_rank=True)
+    decision = select_rank(embedded.singular_values, total=count, nullities=range(count))
     nullity = decision.nullity
     if nullity >= 1:
         # confirm the best null direction vanishes on the data; conditioning

@@ -4,7 +4,7 @@ The coefficient vectors of polynomials that vanish on a union of subspaces
 live in the left null space of the embedded data matrix. With noise the
 null space is read off the smallest singular values, with the number of
 polynomials chosen by a penalized spectral-gap criterion; a degree-n fit
-weighs only the nullities n subspaces can have. A fit carries
+weighs only the nullities n transversal subspaces can have. A fit carries
 the matrix's triangular factor R (R^T R = A A^T): its spectrum is a
 values-only SVD of R and its basis the `null_vectors` of R.
 """
@@ -153,18 +153,16 @@ def _rank_criterion(sv: np.ndarray, kappa, max_rank: int) -> tuple[np.ndarray, n
     return np.argmin(values, axis=1) + 1, values
 
 
-def select_rank(
-    singular_values, *, total: int | None = None, allow_full_rank: bool = False
-) -> RankDecision:
+def select_rank(singular_values, *, total: int | None = None, nullities=None) -> RankDecision:
     """Effective rank of a descending spectrum by penalized spectral gap.
 
-    Minimizes sigma_{r+1}^2 / sum_{j<=r} sigma_j^2 + KAPPA * r; singular
-    values past the end of the list, up to `total`, count as exact zeros.
-    Candidates run over ranks 1 .. total-1 so that a fit always keeps at
-    least one vanishing polynomial; rank probes in model discovery pass
-    `allow_full_rank=True`, which adds the rank == total candidate (its
-    criterion value is exactly KAPPA * total) and lets nullity 0 mean "no
-    deficiency".
+    Minimizes sigma_{r+1}^2 / sum_{j<=r} sigma_j^2 + KAPPA * r (ties to the
+    lowest r); singular values past the end of the list, up to `total`,
+    count as exact zeros. The candidate ranks are total - k for k in
+    `nullities`, by default 1 .. total-1 so that a fit always keeps at least
+    one vanishing polynomial. Rank probes in model discovery allow nullity 0
+    ("no deficiency"; its criterion value is exactly KAPPA * total), and a
+    top-degree fit only the nullities its arrangements can have.
     """
     sv = np.asarray(singular_values, dtype=float).ravel()
     if sv.size == 0:
@@ -176,10 +174,11 @@ def select_rank(
         raise ValueError("total cannot be smaller than the number of values given")
     if not np.any(sv > 0):
         raise DegenerateDataError("all singular values are zero")
-    max_rank = total if allow_full_rank else total - 1
-    if max_rank < 1:
-        raise ValueError(f"no candidate ranks in [1, {max_rank}]")
-    rank = int(_rank_criterion(np.pad(sv, (0, total - sv.size))[None], KAPPA, max_rank)[0][0])
+    ranks = np.sort(total - np.array(range(1, total) if nullities is None else nullities, int))
+    if not ranks.size or ranks[0] < 1 or ranks[-1] > total:
+        raise ValueError(f"no candidate ranks in [1, {total}]")
+    values = _rank_criterion(np.pad(sv, (0, total - sv.size))[None], KAPPA, total)[1][0]
+    rank = int(ranks[np.argmin(values[ranks - 1])])
     return RankDecision(effective_rank=rank, nullity=total - rank)
 
 
@@ -193,20 +192,16 @@ def _arrangement_nullities(degree: int, dim: int) -> tuple[int, ...]:
 def fit_vanishing(embedded: EmbeddedMatrix) -> tuple[PolynomialBasis, RankDecision]:
     """Least-squares vanishing basis of the embedded points, and the rank decision that sized it.
 
-    A degree-n fit models n subspaces, so `select_rank`'s criterion is
-    minimized only over the nullities an arrangement of n subspaces can
-    have: the `hilbert_nullity` of some n-multiset of dims (ties to the lowest
-    rank). The basis rows are the factor's `null_vectors` at that nullity,
-    smallest singular value first.
+    A degree-n fit models n subspaces in general position, so `select_rank`
+    weighs only the nullities a transversal arrangement of n subspaces has:
+    the `hilbert_nullity` of some n-multiset of dims. Subspaces in special
+    position (two planes in R^4 sharing a line) have more vanishing
+    polynomials than that; the fit keeps an allowed count. The basis rows
+    are the factor's `null_vectors` at the nullity, smallest singular value
+    first.
     """
-    degree, dim, sv = embedded.degree, embedded.dim, embedded.singular_values
-    nullities = _arrangement_nullities(degree, dim)
-    if not nullities:
-        raise ValueError(f"no arrangement of {degree} subspaces lives in R^{dim}")
-    if not sv[0] > 0.0:
-        raise DegenerateDataError("all singular values are zero")
-    # the spectrum holds all M values of the square factor; rank r is column r - 1
-    values = _rank_criterion(sv[None], KAPPA, len(sv) - 1)[1][0]
-    nullity = nullities[int(np.argmin(values[len(sv) - np.array(nullities) - 1]))]
-    rows = null_vectors(embedded.factor, nullity).T
-    return PolynomialBasis(degree, dim, rows), RankDecision(len(sv) - nullity, nullity)
+    decision = select_rank(
+        embedded.singular_values, nullities=_arrangement_nullities(embedded.degree, embedded.dim)
+    )
+    rows = null_vectors(embedded.factor, decision.nullity).T
+    return PolynomialBasis(embedded.degree, embedded.dim, rows), decision

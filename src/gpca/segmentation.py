@@ -6,9 +6,9 @@ complement of the subspace through it (Vidal, Ma, Sastry, PAMI 2005).
 n vote rounds then pick the subspaces (Ma, Yang, Derksen, Fossum, SIAM
 Review 2008): a round's candidates are evenly spaced remaining points,
 every remaining point votes for the candidates whose normal space agrees
-with its own, and the winner's voters give its complement and leave.
-Labels come by smallest residual against the complements, each
-complement is refit by PCA on its points, and the labels are read again.
+with its own, and the winner's voters give its complement and leave (at a
+tighter angle if the points run out). Labels come by smallest residual,
+each complement is refit by PCA on its points, and labels are read again.
 
 `select_point` is one vote round and `model_at_point` the normal space at
 one point, over the same helpers. Distances at rounding level are exactly 0.
@@ -42,9 +42,10 @@ PINV_RTOL = 1e-10
 
 # A point votes for a candidate of codimension c when the squared sines of
 # the principal angles between their top-c normal spaces sum to at most
-# sin^2(10 degrees). Each round weighs at most _CANDIDATES evenly spaced
-# remaining points, so a round costs O(N) memory.
-_SIN2_TAU = np.sin(np.radians(10.0)) ** 2
+# sin^2(tau), tau = 10 degrees unless the rounds run out of points
+# (`_rounds`), and never below 0.01 degrees. Each round weighs at most
+# _CANDIDATES evenly spaced remaining points, so a round costs O(N) memory.
+_SIN2_TAU, _MIN_SIN2_TAU = np.sin(np.radians([10.0, 0.01])) ** 2
 _CANDIDATES = 128
 
 @dataclass(frozen=True, eq=False)
@@ -198,27 +199,28 @@ def _normal_spaces(P: PolynomialBasis, X) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _votes(normals: np.ndarray, spaces: np.ndarray) -> np.ndarray:
-    """(k, N) votes: point j's top-c normal space lies within tau of space i of the (k, D, c) stack.
+    """(k, N) summed squared sines from point j's top-c normal space to space i of `spaces`.
 
     The squared sines of the principal angles between two c-dimensional
     spaces sum to c less the inner product of their projectors, so one
-    product of flattened projectors gives every vote (for c = 1, the squared
-    cosines between unit normals).
+    product of flattened projectors gives them all (for c = 1, one less the
+    squared cosines between unit normals).
     """
     c = spaces.shape[2]
     top = normals[:, :, :c]
     points = np.einsum("ndc,nec->nde", top, top).reshape(len(top), -1)
     candidates = np.einsum("kdc,kec->kde", spaces, spaces).reshape(len(spaces), -1)
-    return candidates @ points.T >= c - _SIN2_TAU
+    return c - candidates @ points.T
 
 
-def _vote(normals: np.ndarray, ranks: np.ndarray, remaining: np.ndarray):
-    """One vote round over the remaining points: the winner, its voters and its complement.
+def _vote(normals: np.ndarray, ranks: np.ndarray, remaining: np.ndarray, sin2: float = _SIN2_TAU):
+    """One vote round over the remaining points: winner, voters, complement and widest vote.
 
     Up to `_CANDIDATES` evenly spaced remaining points of rank 1..D-1 stand;
-    the most votes win, ties to the lowest index. The complement is the top-c
-    left singular vectors of the voters' stacked top-c normals: the top-c
-    eigenvectors of their summed projectors.
+    a point votes for a candidate within `sin2` of it, and the most votes
+    win, ties to the lowest index. The complement is the top-c left singular
+    vectors of the voters' stacked top-c normals: the top-c eigenvectors of
+    their summed projectors. The widest vote is the largest sin2 of a voter.
     """
     pool = np.flatnonzero(remaining & (ranks > 0) & (ranks < normals.shape[1]))
     if not pool.size:
@@ -228,13 +230,35 @@ def _vote(normals: np.ndarray, ranks: np.ndarray, remaining: np.ndarray):
     counts = np.zeros(len(candidates), dtype=int)
     for c in np.unique(ranks[candidates]):
         same = ranks[candidates] == c
-        counts[same] = _votes(normals[voting], normals[candidates[same], :, :c]).sum(axis=1)
+        counts[same] = (_votes(normals[voting], normals[candidates[same], :, :c]) <= sin2).sum(1)
     winner = int(candidates[np.argmax(counts)])
     c = int(ranks[winner])
-    voters = voting[_votes(normals[voting], normals[[winner], :, :c])[0]]
+    sines = _votes(normals[voting], normals[[winner], :, :c])[0]
+    voters, widest = voting[sines <= sin2], sines[sines <= sin2].max()
     top = normals[voters, :, :c]
     _, vectors = np.linalg.eigh(np.einsum("ndc,nec->de", top, top))
-    return winner, voters, vectors[:, ::-1][:, :c]
+    return winner, voters, vectors[:, ::-1][:, :c], widest
+
+
+def _rounds(normals: np.ndarray, ranks: np.ndarray, n: int, sin2: float = _SIN2_TAU):
+    """The winners' (index, complement) of n vote rounds, each round's voters leaving.
+
+    When the points run out first, some round's voters came from subspaces
+    closer than tau, so the rounds rerun at a quarter of the widest vote's
+    sin2 (about half its angle), which splits the widest such pair at its
+    middle; below `_MIN_SIN2_TAU` the FitError stands.
+    """
+    remaining, won, widest = np.ones(len(ranks), dtype=bool), [], 0.0
+    try:
+        for _ in range(n):
+            winner, voters, complement, spread = _vote(normals, ranks, remaining, sin2)
+            remaining[voters], widest = False, max(widest, spread)
+            won.append((winner, complement))
+    except FitError:
+        if widest / 4 < _MIN_SIN2_TAU:
+            raise
+        return _rounds(normals, ranks, n, widest / 4)
+    return won
 
 
 def select_point(P: PolynomialBasis, X, already_found: tuple[SubspaceModel, ...] = ()) -> int:
@@ -246,7 +270,7 @@ def select_point(P: PolynomialBasis, X, already_found: tuple[SubspaceModel, ...]
     normals, ranks = _normal_spaces(P, X)
     remaining = np.ones(len(ranks), dtype=bool)
     for model in already_found:
-        remaining &= ~_votes(normals, model.complement_basis[None])[0]
+        remaining &= _votes(normals, model.complement_basis[None])[0] > _SIN2_TAU
     return _vote(normals, ranks, remaining)[0]
 
 
@@ -289,10 +313,11 @@ def segment(X, n: int) -> Segmentation:
 
     Fits the vanishing polynomials once at degree n on the unit-norm points,
     reads every point's normal space off their gradients, and runs n vote
-    rounds (`_vote`), each giving one subspace whose voters leave. Every
-    point then goes to its nearest subspace, each subspace is refit by PCA
-    on its points (a group of fewer than dim points keeps its voted
-    complement), and the points are assigned again.
+    rounds (`_rounds`), each giving one subspace whose voters leave; a fit
+    whose gradients give most points no proper normal space (rank 0 or D)
+    raises. Every point then goes to its nearest subspace, each subspace is
+    refit by PCA on its points (a group of fewer than dim points keeps its
+    voted complement), and the points are assigned again.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if n < 1:
@@ -301,23 +326,21 @@ def segment(X, n: int) -> Segmentation:
         embedded = embed(X, n)
         basis, decision = fit_vanishing(embedded)
         normals, ranks = _normal_spaces(basis, embedded.points)
-        remaining = np.ones(len(X), dtype=bool)
-        models, stages = [], []
-        for _ in range(n):
-            winner, voters, complement = _vote(normals, ranks, remaining)
-            remaining[voters] = False
-            dim = X.shape[1] - complement.shape[1]
-            models.append(SubspaceModel(complement, dim, embedded.points[winner]))
-            stages.append(StageRecord(n, decision.nullity, winner, dim))
+        if 2 * np.count_nonzero((ranks > 0) & (ranks < X.shape[1])) < len(X):
+            raise FitError("at most points the gradients span the whole space or vanish")
+        won = _rounds(normals, ranks, n)
+        dims = [X.shape[1] - complement.shape[1] for _, complement in won]
     except FitError as exc:
         raise StageError(n, str(exc)) from exc
+    models = [SubspaceModel(c, d, embedded.points[w]) for (w, c), d in zip(won, dims)]
+    stages = tuple(StageRecord(n, decision.nullity, w, d) for (w, _), d in zip(won, dims))
     labels, _ = assign(X, models)
     for k, m in enumerate(models):
         members = X[labels == k]
         if len(members) >= m.dim:
             models[k] = SubspaceModel(_pca_complement(members, m.dim), m.dim, m.representative)
     labels, residuals = assign(X, models)
-    return Segmentation(tuple(models), labels, residuals, tuple(stages), basis)
+    return Segmentation(tuple(models), labels, residuals, stages, basis)
 
 
 def _chi2_quantile(q: float, dof: int) -> float:

@@ -99,7 +99,7 @@ class TestCriterion2MixedDimensionRanks:
             decision = select_rank(
                 em.singular_values,
                 total=monomial_count(degree, 3),
-                allow_full_rank=True,
+                nullities=range(monomial_count(degree, 3)),
             )
             ranks[degree] = decision.effective_rank
 

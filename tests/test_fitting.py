@@ -91,7 +91,7 @@ class TestSelectRank:
         sv = np.array([3.0, 2.0, 1.0])
         capped = select_rank(sv)
         assert capped.effective_rank <= 2
-        free = select_rank(sv, allow_full_rank=True)
+        free = select_rank(sv, nullities=range(3))
         assert (free.effective_rank, free.nullity) == (3, 0)
 
     def test_validation(self):
@@ -152,12 +152,19 @@ class TestRankCriterionOracle:
                     window = values[0, lo - 1 : hi]
                     assert lo + int(np.argmin(window)) == rank
                     assert np.array_equal(window[: ref_values.size], ref_values)
-            for allow_full_rank in (False, True):
-                hi = total if allow_full_rank else total - 1
+            for lowest_nullity in (0, 1):
+                hi = total - lowest_nullity
                 if hi < 1:
                     continue
-                decision = select_rank(sv, total=total, allow_full_rank=allow_full_rank)
+                decision = select_rank(sv, total=total, nullities=range(lowest_nullity, total))
                 assert decision.effective_rank == reference_criterion_rank(sv, KAPPA, total, 1, hi)[0]
+            # an allowed-nullity set picks the criterion's argmin over its ranks
+            allowed = rng.choice(total, size=int(rng.integers(1, total + 1)), replace=False)
+            decision = select_rank(sv, total=total, nullities=allowed)
+            ranks = np.sort(total - allowed)
+            trailing = np.append(sv, np.zeros(total + 1 - size))[ranks] ** 2
+            energy = np.cumsum(np.append(sv, np.zeros(total - size)) ** 2)[ranks - 1]
+            assert decision.effective_rank == ranks[np.argmin(trailing / energy + KAPPA * ranks)]
 
     def test_batched_matches_reference_keep_mask(self):
         rng = np.random.default_rng(21)

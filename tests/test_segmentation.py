@@ -501,6 +501,51 @@ class TestVote:
         assert trial[0].error_degrees <= 1e-6
         assert trial[0].classification_pct == 100.0
 
+    @staticmethod
+    def close_planes(angle_deg):
+        """Four planes in R^3: normals e3, e3 tilted angle_deg toward e1, and two far from both."""
+        a = np.radians(angle_deg)
+        normals = np.array([[0, 0, 1], [np.sin(a), 0, np.cos(a)], [1, 1, 0], [1, -1, 1]], float)
+        return [orthonormal_completion((n / np.linalg.norm(n))[:, None]) for n in normals]
+
+    @pytest.mark.parametrize("angle", [2.0, 5.0, 7.0])
+    def test_noiseless_planes_closer_than_tau_are_exact(self, angle):
+        # at tau = 10 deg both close planes vote for one winner and the rounds run dry
+        for seed in range(3):
+            self.assert_exact(*generate_from_bases(self.close_planes(angle), 200, 0.0, seed))
+
+    def test_noisy_planes_closer_than_tau_keep_the_far_planes(self):
+        for seed in range(4):
+            X, models, labels = generate_from_bases(self.close_planes(5.0), 200, 0.01, seed)
+            seg = segment(X, 4)
+            assert seg.dims == (2, 2, 2, 2)
+            assert angle_error(models, seg.models) < 5.0
+            assert matched_accuracy(labels, seg.labels) > 0.7
+            found = [m.complement_basis for m in seg.models]
+            for far in models[2:]:
+                angles = [max_principal_angle(far.complement_basis, B) for B in found]
+                assert np.degrees(min(angles)) < 1.0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_fit_with_mostly_full_rank_gradients_raises(self, seed):
+        # the fit's 8 quadrics have gradients of rank 6 at most points; the few
+        # of rank 5 once voted dims [1, 1, 1]
+        X, _, _ = generate(ArrangementSpec(6, (2, 3, 4), 60, 0.01, seed=seed))
+        with pytest.raises(StageError, match="at most points the gradients span the whole space"):
+            segment(X, 3)
+
+    def test_planes_sharing_a_line(self):
+        # not transversal: five quadrics vanish on two planes of R^4 sharing a line,
+        # where hilbert_nullity((2, 2), 4, 2) = 4 allows 4 or 6
+        E = np.eye(4)
+        X, models, labels = generate_from_bases([E[:, [0, 1]], E[:, [0, 2]]], 200, 0.0, seed=0)
+        assert fit_vanishing(embed(X, 2))[1].nullity == 4
+        self.assert_exact(X, models, labels)
+        # at sigma = 0.01 the fit keeps one quadric, whose gradients give two hyperplanes
+        X, _, _ = generate_from_bases([E[:, [0, 1]], E[:, [0, 2]]], 200, 0.01, seed=0)
+        seg = segment(X, 2)
+        assert (seg.stages[0].nullity, seg.dims) == (1, (3, 3))
+
     def test_select_point_is_the_vote_winner(self):
         X, _, _ = generate(ArrangementSpec(4, (1, 2, 3), 100, 0.0, seed=3))
         seg = segment(X, 3)
