@@ -3,7 +3,7 @@
 The fits carry an upper-triangular factor R with R^T R = A A^T for their
 embedded matrix A (`triangular_factor`, LAPACK's blocked compact-WY QR),
 take its spectrum from a values-only SVD of R and its null directions from
-`null_vectors`. `left_svd` reduces a wide matrix by the same factor.
+`null_vectors`. PCA (`discovery.project`) takes the right singular vectors of the points' R.
 """
 
 from __future__ import annotations
@@ -17,26 +17,6 @@ def unit_rows(X):
     norms = np.linalg.norm(X, axis=-1, keepdims=True)
     safe = np.where(norms > 0.0, norms, 1.0)
     return X / safe
-
-
-# At two or more columns per row the QR route is the faster one; below that,
-# LAPACK's own economy SVD is as fast or faster.
-_QR_FIRST_RATIO = 2
-
-
-def left_svd(A):
-    """Left singular vectors and singular values of A, without the right factor.
-
-    Returns the (M, min(M, N)) and (min(M, N),) arrays that
-    np.linalg.svd(A, full_matrices=False) returns first, equal to rounding.
-    A wide A is first reduced by `triangular_factor`'s QR. Used for PCA;
-    the fits use `triangular_factor` and `null_vectors`.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.shape[1] >= _QR_FIRST_RATIO * A.shape[0]:
-        A = triangular_factor(A).T
-    left, sv, _ = np.linalg.svd(A, full_matrices=False)
-    return left, sv
 
 
 # Block size of the compact-WY QR. On the (1200, 126), (900, 220) and

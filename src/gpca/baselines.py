@@ -5,14 +5,13 @@ subspace by (weighted) PCA. They are sensitive to initialization, which is
 exactly why the algebraic segmentation makes a good warm start; both accept
 either seeded random bases or a list of already-fitted models.
 
-Each iteration is a fixed number of whole-array operations, whatever the
-number of subspaces n. The per-point outer products Z = vec(x xᵀ) are formed
-once per call, an N x D² array (N·D² floats). One product W Z then gives
-every weighted scatter, W being EM's n x N responsibilities or K-subspaces'
-one-hot labels, and one batched eigh gives every refitted complement. The n
-complements live in one (n, D, c_max) stack, each zero-padded to the largest
-codimension c_max, so one batched product stackᵀ Xᵀ, squared and summed over
-its c_max axis, gives every squared residual; the padding adds exact zeros.
+Each iteration is a fixed number of whole-array operations on the
+nearest-subspace kernel that `segmentation.assign` and `segment` share,
+whatever the number of subspaces n: with the per-point outer products x xᵀ
+formed once per call (N·D² floats), one batched eigh of the weighted
+scatters refits every complement (`_refit`), and one batched product of the
+zero-padded complement stack gives every squared residual (`_residual2`).
+The last iteration's residuals give the result's labels and representatives.
 """
 
 from __future__ import annotations
@@ -21,7 +20,15 @@ import numpy as np
 
 from ._linalg import orthonormal_completion
 from .errors import FitError
-from .segmentation import Segmentation, SubspaceModel, assign
+from .segmentation import (
+    Segmentation,
+    _models,
+    _nearest,
+    _outer_products,
+    _refit,
+    _residual2,
+    _stack,
+)
 
 __all__ = ["MAX_ITERS", "TOL", "k_subspaces", "em_mixture_pca"]
 
@@ -43,7 +50,7 @@ def _resize_complement(B, D, d):
 
 
 def _start(X, dims, seed, init_models):
-    """Float X, int dims, the complement stack and its (n, 1, c_max) column mask.
+    """Float X, int dims and the complement stack.
 
     The stack holds the init models' complements resized to dims, else seeded random ones.
     """
@@ -66,32 +73,16 @@ def _start(X, dims, seed, init_models):
             _resize_complement(np.asarray(m.complement_basis, dtype=float), D, d)
             for m, d in zip(init_models, dims)
         ]
-    codims = D - np.array(dims)
-    return X, dims, _stack(bases), (np.arange(codims.max()) < codims[:, None])[:, None, :]
+    return X, dims, _stack(bases)
 
 
-def _stack(bases):
-    """The (n, D, c_max) stack of complement bases, each zero-padded to c_max columns."""
-    stack = np.zeros((len(bases), bases[0].shape[0], max(B.shape[1] for B in bases)))
-    for slot, B in zip(stack, bases):
-        slot[:, : B.shape[1]] = B
-    return stack
-
-
-def _finish(X, stack, dims, labels) -> Segmentation:
-    """The models of the final stack, each shown by its best-fit member, and their assignment."""
-    models = []
-    for cluster, (B, d) in enumerate(zip(stack, dims)):
-        B = B[:, : X.shape[1] - d]
-        member = np.flatnonzero(labels == cluster)
-        if member.size:
-            res = np.linalg.norm(X[member] @ B, axis=1)
-            representative = X[member[int(np.argmin(res))]]
-        else:
-            representative = np.zeros(X.shape[1])
-        models.append(SubspaceModel(complement_basis=B, dim=d, representative=representative))
-    models = tuple(models)
-    return Segmentation(models, *assign(X, models))
+def _finish(X, stack, dims, residual2):
+    """The final stack's segmentation; a model is shown by its best-fit nearest point, or zeros."""
+    labels, residuals = _nearest(residual2)
+    nearest = labels == np.arange(len(dims))[:, None]
+    own = np.where(nearest, residual2, np.inf)
+    best = np.where(nearest.any(axis=1)[:, None], X[np.argmin(own, axis=1)], 0.0)
+    return Segmentation(_models(stack, dims, best), labels, residuals)
 
 
 def _reseed_basis(X, residual2, d, D):
@@ -119,32 +110,6 @@ def _reseed_basis(X, residual2, d, D):
     return orthonormal_completion(span_mat)
 
 
-def _outer_products(X):
-    """The N x D² array of per-point outer products vec(x xᵀ)."""
-    return (X[:, :, None] * X[:, None, :]).reshape(len(X), -1)
-
-
-def _refit(W, Z, mask, D):
-    """Every cluster's complement at once, row k of W weighting the points of cluster k.
-
-    One product W Z forms the weighted scatters and one batched eigh takes
-    their eigenvectors; ascending eigenvalues put the minor directions first.
-    Returns the complement stack, the columns outside `mask` zeroed.
-    """
-    _, eigvecs = np.linalg.eigh((W @ Z).reshape(-1, D, D))
-    return eigvecs[:, :, : mask.shape[2]] * mask
-
-
-def _residual2(X, stack):
-    """n x N squared complement residuals: one batched product, summed over c_max.
-
-    Cluster-major: a reduction over the clusters of every point then runs
-    elementwise over n rows of length N, which numpy does far faster than
-    N reductions of length n.
-    """
-    return np.square(stack.transpose(0, 2, 1) @ X.T).sum(axis=1)
-
-
 def k_subspaces(X, dims, *, seed=0, init_models=None, objective_history: list | None = None):
     """Alternating assignment and PCA refit of every cluster.
 
@@ -158,7 +123,7 @@ def k_subspaces(X, dims, *, seed=0, init_models=None, objective_history: list | 
     `dims`; `init_models` take priority over `seed`. Pass a list as
     `objective_history` to collect the per-iteration values.
     """
-    X, dims, stack, mask = _start(X, dims, seed, init_models)
+    X, dims, stack = _start(X, dims, seed, init_models)
     D = X.shape[1]
     Z = _outer_products(X)
     clusters = np.arange(len(dims))
@@ -170,7 +135,7 @@ def k_subspaces(X, dims, *, seed=0, init_models=None, objective_history: list | 
         objective_history.append(objective)
     for iterations in range(1, MAX_ITERS + 1):
         onehot = labels == clusters[:, None]
-        stack = _refit(onehot.astype(float), Z, mask, D)
+        stack = _refit(onehot.astype(float), Z, dims)
         for k in np.flatnonzero(~onehot.any(axis=1)):
             stack[k, :, : D - dims[k]] = _reseed_basis(X, fit2, dims[k], D)
         residual2 = _residual2(X, stack)
@@ -184,7 +149,7 @@ def k_subspaces(X, dims, *, seed=0, init_models=None, objective_history: list | 
         objective = new_objective
         if done:
             break
-    return _finish(X, stack, dims, labels), iterations
+    return _finish(X, stack, dims, residual2), iterations
 
 
 def em_mixture_pca(
@@ -208,12 +173,14 @@ def em_mixture_pca(
     weights and variances.
     Returns (Segmentation, responsibilities, iterations); the observed-data
     log-likelihood is non-decreasing, and a change of at most TOL or
-    MAX_ITERS stops it. Other arguments are as for `k_subspaces`; pass a
-    list as `likelihood_history` to collect the per-iteration values.
+    MAX_ITERS stops it. A model is shown by its best-fit point among those
+    nearest to it, not among those where it has the highest responsibility.
+    Other arguments are as for `k_subspaces`; pass a list as
+    `likelihood_history` to collect the per-iteration values.
     """
     if not (np.isfinite(noise_variance) and noise_variance > 0):
         raise ValueError(f"noise variance must be finite and positive, got {noise_variance}")
-    X, dims, stack, mask = _start(X, dims, seed, init_models)
+    X, dims, stack = _start(X, dims, seed, init_models)
     D = X.shape[1]
     Z = _outer_products(X)
     codims = np.array([D - d for d in dims], dtype=float)
@@ -236,7 +203,7 @@ def em_mixture_pca(
             likelihood_history.append(new_log_likelihood)
 
         mass = responsibilities.sum(axis=1)
-        stack = _refit(responsibilities, Z, mask, D)
+        stack = _refit(responsibilities, Z, dims)
         for k in np.flatnonzero(mass <= 1e-10):
             stack[k, :, : D - dims[k]] = _reseed_basis(X, residual2.min(axis=0), dims[k], D)
         mass = np.maximum(mass, 1e-10)
@@ -249,5 +216,4 @@ def em_mixture_pca(
         if abs(new_log_likelihood - log_likelihood) <= TOL:
             break
         log_likelihood = new_log_likelihood
-    labels = np.argmax(responsibilities, axis=0)
-    return _finish(X, stack, dims, labels), responsibilities.T, iterations
+    return _finish(X, stack, dims, residual2), responsibilities.T, iterations

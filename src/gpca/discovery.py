@@ -16,10 +16,10 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from ._linalg import left_svd, null_vectors, orthonormal_completion
+from ._linalg import null_vectors, triangular_factor
 from .errors import DiscoveryError, FitError
 from .fitting import embed, hilbert_nullity, select_rank
-from .segmentation import Segmentation, SubspaceModel, _pca_complement, assign, segment
+from .segmentation import Segmentation, _models, _outer_products, _refit, assign, segment
 from .veronese import monomial_count
 
 __all__ = [
@@ -103,9 +103,10 @@ def project(X, new_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Project points onto their new_dim top principal directions.
 
     Returns the read-only (new_dim, D) row-orthonormal map and the (N,
-    new_dim) projected points. With fewer points than new_dim, the map's
-    last rows complete the point span orthonormally. Non-finite points raise
-    ValueError.
+    new_dim) projected points. The rows are the leading right singular
+    vectors of the points' `triangular_factor` R, with RᵀR = XᵀX; with fewer
+    points than new_dim, R's zero rows give those past the point span.
+    Non-finite points raise ValueError.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if not np.isfinite(X).all():
@@ -115,10 +116,8 @@ def project(X, new_dim: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"cannot project {D}-dimensional data up to {new_dim}")
     if new_dim < 1:
         raise ValueError("projection needs at least one dimension")
-    left, _ = left_svd(X.T)
-    if left.shape[1] < new_dim:
-        left = np.hstack([left, orthonormal_completion(left)])
-    matrix = left[:, :new_dim].T.copy()
+    _, _, rows = np.linalg.svd(triangular_factor(X.T))
+    matrix = rows[:new_dim].copy()
     matrix.flags.writeable = False
     return matrix, X @ matrix.T
 
@@ -168,8 +167,9 @@ def _match(X, n_max: int, equal_dim: bool):
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     probes: list[RankProbe] = []
+    _, rotated = project(X, X.shape[1])
     for level in range(X.shape[1] - 1, 0, -1):
-        _, projected = project(X, level + 1)
+        projected = rotated[:, : level + 1]
         level_probes = list(_probes(projected, n_max))
         probes.extend(level_probes)
         for n in range(1, n_max + 1):
@@ -240,14 +240,14 @@ def recursive_segment(X, n_max: int) -> tuple[Segmentation, DiscoveryReport]:
         raise DiscoveryError(f"splitting {n} subspaces at level {level} failed: {exc}") from exc
     if tuple(sorted(split.dims)) != dims:
         raise DiscoveryError(f"the split found dims {sorted(split.dims)}, the match {list(dims)}")
-    models = []
-    for group, dim in enumerate(split.dims):
-        members = X[split.labels == group]
-        if len(members) < dim:
-            raise DiscoveryError(f"{len(members)} points cannot span a {dim}-dim subspace")
-        models.append(SubspaceModel(_pca_complement(members, dim), dim, members[0]))
+    onehot = split.labels == np.arange(n)[:, None]
+    for count, dim in zip(onehot.sum(axis=1), split.dims):
+        if count < dim:
+            raise DiscoveryError(f"{count} points cannot span a {dim}-dim subspace")
+    stack = _refit(onehot.astype(float), _outer_products(X), split.dims)
+    models = _models(stack, split.dims, X[np.argmax(onehot, axis=1)])
     labels, residuals = assign(X, models)
-    segmentation = Segmentation(tuple(models), labels, residuals, split.stages)
+    segmentation = Segmentation(models, labels, residuals, split.stages)
     leaves = tuple(
         DiscoveryNode(str(group) if n > 1 else "", int(count), D, leaf_dim=dim)
         for group, (count, dim) in enumerate(zip(np.bincount(labels, minlength=n), split.dims))

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import triangular_factor
 from .errors import FitError, StageError
 from .fitting import KAPPA, _rank_criterion, embed, fit_vanishing
 from .polynomial import PolynomialBasis, basis_gradients
@@ -290,10 +289,52 @@ def model_at_point(P: PolynomialBasis, y) -> SubspaceModel:
     return SubspaceModel(complement_basis=normals[0, :, :rank], dim=y.size - rank, representative=y)
 
 
-def _pca_complement(members: np.ndarray, dim: int) -> np.ndarray:
-    """Complement of the rows' dim-dim PCA subspace: trailing right vectors of their factor."""
-    _, _, rows = np.linalg.svd(triangular_factor(members.T))
-    return rows[dim:].T
+def _stack(bases):
+    """The (n, D, c_max) stack of complement bases, each zero-padded to c_max columns."""
+    stack = np.zeros((len(bases), bases[0].shape[0], max(B.shape[1] for B in bases)))
+    for slot, B in zip(stack, bases):
+        slot[:, : B.shape[1]] = B
+    return stack
+
+
+def _residual2(X, stack):
+    """n x N squared complement residuals: one batched product, summed over c_max.
+
+    The padding columns add exact zeros. Cluster-major: a reduction over the
+    clusters of every point then runs elementwise over n rows of length N,
+    which numpy does far faster than N reductions of length n.
+    """
+    return np.square(stack.transpose(0, 2, 1) @ X.T).sum(axis=1)
+
+
+def _nearest(residual2):
+    """Labels by smallest squared residual, ties to the lowest index, and their residuals."""
+    labels = np.argmin(residual2, axis=0)
+    return labels, np.sqrt(residual2[labels, np.arange(residual2.shape[1])])
+
+
+def _models(stack, dims, points) -> tuple[SubspaceModel, ...]:
+    """The models of a complement stack at dims, shown by the given points."""
+    D = stack.shape[1]
+    return tuple(SubspaceModel(B[:, : D - d], d, x) for B, d, x in zip(stack, dims, points))
+
+
+def _outer_products(X):
+    """The (N, D, D) per-point outer products x xᵀ."""
+    return X[:, :, None] * X[:, None, :]
+
+
+def _refit(W, Z, dims):
+    """Every cluster's PCA complement at its dim, row k of W weighting the points of cluster k.
+
+    One product of W and the `_outer_products` Z forms the weighted
+    scatters and one batched eigh takes their eigenvectors, minor directions
+    first. Each cluster's columns past its codimension are zeroed.
+    """
+    N, D, _ = Z.shape
+    codims = [D - d for d in dims]
+    _, eigvecs = np.linalg.eigh((W @ Z.reshape(N, -1)).reshape(-1, D, D))
+    return eigvecs[:, :, : max(codims)] * (np.arange(max(codims)) < np.array(codims)[:, None, None])
 
 
 def assign(X, models) -> tuple[np.ndarray, np.ndarray]:
@@ -302,10 +343,7 @@ def assign(X, models) -> tuple[np.ndarray, np.ndarray]:
     if not models:
         raise ValueError("need at least one model to assign against")
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    residual_matrix = np.column_stack([m.residuals(X) for m in models])
-    labels = np.argmin(residual_matrix, axis=1)
-    residuals = residual_matrix[np.arange(X.shape[0]), labels]
-    return labels, residuals
+    return _nearest(_residual2(X, _stack([m.complement_basis for m in models])))
 
 
 def segment(X, n: int) -> Segmentation:
@@ -332,15 +370,13 @@ def segment(X, n: int) -> Segmentation:
         dims = [X.shape[1] - complement.shape[1] for _, complement in won]
     except FitError as exc:
         raise StageError(n, str(exc)) from exc
-    models = [SubspaceModel(c, d, embedded.points[w]) for (w, c), d in zip(won, dims)]
+    stack = _stack([complement for _, complement in won])
+    onehot = np.argmin(_residual2(X, stack), axis=0) == np.arange(n)[:, None]
+    refit = _refit(onehot.astype(float), _outer_products(X), dims)
+    stack = np.where((onehot.sum(axis=1) >= dims)[:, None, None], refit, stack)
+    models = _models(stack, dims, embedded.points[[w for w, _ in won]])
     stages = tuple(StageRecord(n, decision.nullity, w, d) for (w, _), d in zip(won, dims))
-    labels, _ = assign(X, models)
-    for k, m in enumerate(models):
-        members = X[labels == k]
-        if len(members) >= m.dim:
-            models[k] = SubspaceModel(_pca_complement(members, m.dim), m.dim, m.representative)
-    labels, residuals = assign(X, models)
-    return Segmentation(tuple(models), labels, residuals, stages, basis)
+    return Segmentation(models, *assign(X, models), stages, basis)
 
 
 def _chi2_quantile(q: float, dof: int) -> float:

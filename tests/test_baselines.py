@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from gpca import baselines
+from gpca import baselines, segmentation
 from gpca.baselines import em_mixture_pca, k_subspaces
 from gpca.errors import FitError
 from gpca.metrics import confusion_matrix, matched_accuracy
-from gpca.segmentation import SubspaceModel, segment
+from gpca.segmentation import SubspaceModel, assign, segment
 from gpca.synthgen import ArrangementSpec, angle_error, generate
 
 
@@ -168,8 +168,7 @@ class TestMixedDims:
         X = rng.standard_normal((50, 4))
         W = rng.uniform(size=(3, 50))
         dims = (1, 2, 3)
-        mask = baselines._start(X, dims, 0, None)[3]
-        stack = baselines._refit(W, baselines._outer_products(X), mask, 4)
+        stack = segmentation._refit(W, segmentation._outer_products(X), dims)
         assert stack.shape == (3, 4, 3)
         for w, d, padded in zip(W, dims, stack):
             _, eigvecs = np.linalg.eigh((X * w[:, None]).T @ X)
@@ -231,6 +230,22 @@ class TestMixedDims:
             assert not stack[1, :, 1:].any()
             reference = np.stack([np.linalg.norm(X @ B, axis=1) ** 2 for B in bases])
             assert np.allclose(residual2(X, stack), reference, rtol=1e-12)
+
+
+class TestResult:
+    @pytest.mark.parametrize("fit", [k_subspaces, em_mixture_pca])
+    def test_labels_and_residuals_are_those_of_assign(self, fit):
+        dims = [1, 2, 3]
+        X, _, _ = generate(ArrangementSpec(4, dims, 100, 0.01, seed=5))
+        seg = fit(X, dims, seed=2)[0]
+        labels, residuals = assign(X, seg.models)
+        assert np.array_equal(seg.labels, labels)
+        assert np.array_equal(seg.residuals, residuals)
+        # each model is shown by its best-fit point among those labeled with it
+        for k, model in enumerate(seg.models):
+            members = np.flatnonzero(labels == k)
+            best = X[members[np.argmin(residuals[members])]]
+            assert np.array_equal(model.representative, best)
 
 
 def _fit_bytes(result):

@@ -300,7 +300,7 @@ class TestNonFinitePoints:
 
         for name in ("svd", "qr", "eigh"):
             monkeypatch.setattr(np.linalg, name, no_factorization)
-        for holder in ("_linalg", "fitting", "segmentation"):
+        for holder in ("_linalg", "fitting", "discovery"):
             monkeypatch.setattr(f"gpca.{holder}.triangular_factor", no_factorization)
         with pytest.raises(ValueError, match="finite"):
             call(X)

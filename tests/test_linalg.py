@@ -1,10 +1,11 @@
-"""Dense helpers: the left-factor SVD, the triangular factor and its null
-vectors, against numpy's SVD."""
+"""Dense helpers: the principal directions of `project`, the triangular
+factor and its null vectors, against numpy's SVD."""
 
 import numpy as np
 import pytest
 
-from gpca._linalg import left_svd, max_principal_angle, null_vectors, triangular_factor
+from gpca._linalg import max_principal_angle, null_vectors, triangular_factor
+from gpca.discovery import project
 from gpca.fitting import embed, select_rank
 from gpca.synthgen import ArrangementSpec, generate
 
@@ -14,43 +15,57 @@ def low_rank(rows, cols, rank, seed):
     return rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
 
 
+def left_svd(A):
+    """Left singular vectors and singular values of a (D, N) A, from `project`.
+
+    The rows of the (D, D) map of the points Aᵀ are the vectors, and the
+    norms of the projected points are the D singular values.
+    """
+    matrix, projected = project(A.T, A.shape[0])
+    return matrix.T, np.linalg.norm(projected, axis=0)
+
+
 class TestLeftSvd:
+    """`project`'s rows are the left singular vectors of Xᵀ, from one triangular factor."""
+
     @pytest.mark.parametrize(
         "shape",
         [(12, 300), (30, 60), (30, 59), (40, 40), (60, 30), (1, 5), (5, 1)],
-        ids=["wide", "at-ratio", "below-ratio", "square", "tall", "one-row", "one-column"],
+        ids=["wide", "wide-even", "wide-odd", "square", "tall", "one-row", "one-column"],
     )
     def test_matches_economy_svd(self, shape):
         A = np.random.default_rng(sum(shape)).standard_normal(shape)
         left, sv = left_svd(A)
         ref_left, ref_sv, _ = np.linalg.svd(A, full_matrices=False)
-        assert left.shape == ref_left.shape and sv.shape == ref_sv.shape
-        assert np.all(np.abs(sv - ref_sv) <= 1e-13 * ref_sv[0])
-        assert np.allclose(left.T @ left, np.eye(left.shape[1]), atol=1e-13)
+        k = min(shape)
+        assert left.shape == (shape[0], shape[0]) and sv.shape == (shape[0],)
+        assert np.all(np.abs(sv[:k] - ref_sv) <= 1e-13 * ref_sv[0])
+        assert np.allclose(left.T @ left, np.eye(shape[0]), atol=1e-13)
         # each left vector is the reference one up to sign
-        signs = np.sign(np.sum(left * ref_left, axis=0))
-        assert np.allclose(left * signs, ref_left, atol=1e-10)
+        signs = np.sign(np.sum(left[:, :k] * ref_left, axis=0))
+        assert np.allclose(left[:, :k] * signs, ref_left, atol=1e-10)
+        # past the point span, the rows complete it
+        assert np.abs(left[:, k:].T @ A).max(initial=0.0) <= 1e-12 * ref_sv[0]
 
     @pytest.mark.parametrize("shape, rank", [((20, 400), 7), ((20, 30), 7), ((30, 20), 7)])
     def test_separates_the_null_space(self, shape, rank):
         A = low_rank(*shape, rank, seed=rank + shape[1])
         left, sv = left_svd(A)
         ref_left, ref_sv, _ = np.linalg.svd(A, full_matrices=False)
-        assert np.all(np.abs(sv - ref_sv) <= 1e-13 * ref_sv[0])
+        assert np.all(np.abs(sv[: min(shape)] - ref_sv) <= 1e-13 * ref_sv[0])
         assert np.all(sv[rank:] <= 1e-13 * sv[0])
         assert max_principal_angle(left[:, :rank], ref_left[:, :rank]) <= 1e-10
-        if left.shape[1] > rank:
-            null, ref_null = left[:, rank:], ref_left[:, rank:]
-            assert max_principal_angle(null, ref_null) <= 1e-10
-            assert np.abs(null.T @ A).max() <= 1e-12 * sv[0]
+        # the reference's null directions lie in the span of the rows past the rank
+        null, ref_null = left[:, rank:], ref_left[:, rank:]
+        assert np.linalg.norm(ref_null - null @ (null.T @ ref_null), 2) <= 1e-10
+        assert np.abs(null.T @ A).max() <= 1e-12 * sv[0]
 
     @pytest.mark.parametrize("shape", [(6, 30), (6, 8), (8, 6)])
     def test_all_zero_input(self, shape):
         left, sv = left_svd(np.zeros(shape))
-        k = min(shape)
-        assert left.shape == (shape[0], k) and sv.shape == (k,)
+        assert left.shape == (shape[0], shape[0]) and sv.shape == (shape[0],)
         assert np.all(sv == 0.0)
-        assert np.allclose(left.T @ left, np.eye(k), atol=1e-14)
+        assert np.allclose(left.T @ left, np.eye(shape[0]), atol=1e-14)
 
 
 SHAPES = [(12, 300), (40, 40), (30, 12), (1, 5), (5, 1), (70, 800), (100, 90), (80, 50)]

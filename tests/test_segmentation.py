@@ -9,6 +9,7 @@ from util import (
     brute_force_distance,
     intro_quadratic_basis,
     line_and_plane,
+    pca_complement,
     peel,
     product_basis,
     svd_distance2,
@@ -29,6 +30,8 @@ from gpca.polynomial import PolynomialBasis, lift_matrix
 from gpca.segmentation import (
     SubspaceModel,
     _chi2_quantile,
+    _outer_products,
+    _refit,
     _values_and_gradients,
     algebraic_distance2,
     assign,
@@ -285,6 +288,22 @@ class TestAssign:
         est, _ = assign(np.zeros((1, 3)), (LINE_MODEL, PLANE_MODEL))
         assert est[0] == 0
 
+    def test_matches_per_model_residuals(self):
+        X, models, _ = generate(ArrangementSpec(4, (1, 2, 3), 80, 0.01, seed=4))
+        labels, residuals = assign(X, models)
+        reference = np.column_stack([m.residuals(X) for m in models])
+        assert np.array_equal(labels, np.argmin(reference, axis=1))
+        assert np.allclose(residuals, reference.min(axis=1), rtol=1e-12, atol=0.0)
+
+    def test_exact_ties_go_to_lowest_index(self):
+        # complements e3, e1, e2: residuals (1, 1, 1), (5, 2, 2) and (4, 4, 7)
+        e = np.eye(3)
+        models = [SubspaceModel(e[:, [k]], 2, np.zeros(3)) for k in (2, 0, 1)]
+        X = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 5.0], [4.0, 7.0, 4.0]])
+        labels, residuals = assign(X, models)
+        assert labels.tolist() == [0, 1, 0]
+        assert residuals.tolist() == [1.0, 2.0, 4.0]
+
     def test_noisy_two_planes_accuracy(self):
         hits = []
         for seed in range(25):
@@ -294,6 +313,20 @@ class TestAssign:
             est, _ = assign(X, models)
             hits.append(matched_accuracy(labels, est))
         assert np.mean(hits) >= 0.95
+
+
+class TestRefit:
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    def test_one_hot_refit_matches_per_group_pca(self, noise):
+        dims = (1, 2, 3)
+        X, _, labels = generate(ArrangementSpec(4, dims, 80, noise, seed=3))
+        onehot = labels == np.arange(len(dims))[:, None]
+        stack = _refit(onehot.astype(float), _outer_products(X), dims)
+        assert stack.shape == (3, 4, 3)
+        for group, (d, padded) in enumerate(zip(dims, stack)):
+            reference = pca_complement(X[labels == group], d)
+            assert max_principal_angle(padded[:, : 4 - d], reference) <= 1e-10
+            assert not padded[:, 4 - d :].any()
 
 
 class TestSegment:
@@ -452,7 +485,7 @@ class TestSegmentWork:
         # batched gradient SVD, and no SVD with vectors of anything taller than D
         assert [s.nullity for s in seg.stages] == [1, 1, 1, 1]
         vector_svds = [a for name, a, kw in calls if name == "svd" and kw.get("compute_uv", True)]
-        assert vector_svds and all(np.shape(a[0])[-2] <= 5 for a in vector_svds)
+        assert all(np.shape(a[0])[-2] <= 5 for a in vector_svds)
         assert not [a for name, a, _ in calls if name == "svd" and np.ndim(a[0]) == 3]
 
 

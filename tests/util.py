@@ -92,6 +92,15 @@ def peel(embedded, model):
     return PolynomialBasis(embedded.degree - 1, embedded.dim, null_vectors(factor, nullity).T)
 
 
+def pca_complement(members, dim):
+    """Complement of the rows' dim-dim PCA subspace: trailing right vectors of their factor.
+
+    One QR and one SVD per group, the reference for the batched one-hot refit.
+    """
+    _, _, rows = np.linalg.svd(triangular_factor(members.T))
+    return rows[dim:].T
+
+
 def polynomial_from_text(text):
     """Parse `to_text` output: a `degree dim` line, then the coefficients."""
     header, coeffs = text.splitlines()
