@@ -1,9 +1,10 @@
 """Small dense linear-algebra helpers used throughout the package.
 
 The fits carry an upper-triangular factor R with R^T R = A A^T for their
-embedded matrix A (`triangular_factor`, LAPACK's blocked compact-WY QR),
-take its spectrum from a values-only SVD of R and its null directions from
-`null_vectors`. PCA (`discovery.project`) takes the right singular vectors of the points' R.
+embedded matrix A (`triangular_factor`, LAPACK's blocked compact-WY QR,
+which consumes A), take its spectrum from a values-only SVD of R and its
+null directions from `null_vectors`. PCA (`discovery.project`) takes the
+right singular vectors of the points' R.
 """
 
 from __future__ import annotations
@@ -34,16 +35,17 @@ def triangular_factor(A):
     padded with zero rows, which add the M - N exact zeros of A's spectrum.
     The QR is LAPACK's blocked compact-WY `dgeqrt` (Schreiber & Van Loan
     1989), which makes the Householder reflectors of np.linalg.qr, so R
-    equals its R to rounding, signs included. LAPACK reads A^T column-major,
-    which the transpose of a `veronese_lift` already is, so it is copied
-    without reordering.
+    equals its R to rounding, signs included. The factorization consumes A:
+    LAPACK overwrites A^T in place when it is column-major, as the
+    transpose of a `veronese_lift` is, so a caller that reads A afterwards
+    passes a copy.
     """
     # scipy is imported on first use: it takes longer to import than gpca.
     from scipy.linalg import lapack
 
     A = np.asarray(A, dtype=float)
     M, N = A.shape
-    qr, _, _ = lapack.dgeqrt(min(_QR_BLOCK, M, N), A.T)
+    qr, _, _ = lapack.dgeqrt(min(_QR_BLOCK, M, N), A.T, overwrite_a=True)
     R = np.triu(qr[:M])
     if N < M:
         R = np.vstack([R, np.zeros((M - N, M))])

@@ -5,7 +5,9 @@ transversal union of n subspaces is fixed by their dims
 (`fitting.hilbert_nullity`). Discovery probes the nullity at degrees
 1..n_max on PCA projections to ell+1 dimensions, from ell = D-1 down, and
 takes the smallest n whose nullities at every probed k >= n are predicted
-by exactly one dims multiset. `recursive_segment` then splits that level's
+by exactly one dims multiset. A probe reads the embedded matrix's spectrum
+alone: its nullity counts only when the smallest singular value vanishes
+relative to the whole spectrum. `recursive_segment` then splits that level's
 points with `segment` and refits each group in R^D.
 """
 
@@ -16,7 +18,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from ._linalg import null_vectors, triangular_factor
+from ._linalg import triangular_factor
 from .errors import DiscoveryError, FitError
 from .fitting import embed, hilbert_nullity, select_rank
 from .segmentation import Segmentation, _models, _outer_products, _refit, assign, segment
@@ -32,9 +34,11 @@ __all__ = [
     "recursive_segment",
 ]
 
-# A rank probe only counts as a deficiency when its null direction actually
-# vanishes on the data at this relative tolerance: thin-but-nonzero spectrum
-# directions otherwise masquerade as structure.
+# A rank probe only counts as a deficiency when the embedded matrix A has a
+# direction v that vanishes on the data at this relative tolerance,
+# ||A^T v|| <= _VANISH_TOL * ||A||_F: that is the smallest singular value
+# against the spectrum's 2-norm. Thin-but-nonzero spectrum directions
+# otherwise masquerade as structure.
 _VANISH_TOL = 1e-6
 
 
@@ -116,26 +120,18 @@ def project(X, new_dim: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"cannot project {D}-dimensional data up to {new_dim}")
     if new_dim < 1:
         raise ValueError("projection needs at least one dimension")
-    _, _, rows = np.linalg.svd(triangular_factor(X.T))
+    _, _, rows = np.linalg.svd(triangular_factor(X.T.copy()))
     matrix = rows[:new_dim].copy()
     matrix.flags.writeable = False
     return matrix, X @ matrix.T
 
 
 def _probe(X, degree) -> RankProbe:
-    embedded = embed(X, degree, warn=False)
-    dim = X.shape[1]
-    count = monomial_count(degree, dim)
-    decision = select_rank(embedded.singular_values, total=count, nullities=range(count))
-    nullity = decision.nullity
-    if nullity >= 1:
-        # confirm the best null direction vanishes on the data; conditioning
-        # artifacts produce small singular values without vanishing residuals
-        direction = null_vectors(embedded.factor, 1)[:, 0]
-        scales = np.maximum(np.linalg.norm(embedded.matrix, axis=0), 1e-300)
-        residual = float(np.max(np.abs(direction @ embedded.matrix) / scales))
-        if residual > _VANISH_TOL:
-            nullity = 0
+    sv = embed(X, degree, warn=False).singular_values
+    dim, count = X.shape[1], sv.size
+    nullity = select_rank(sv, nullities=range(count)).nullity
+    if sv[-1] > _VANISH_TOL * np.linalg.norm(sv):
+        nullity = 0
     return RankProbe(
         level=dim - 1,
         degree=degree,

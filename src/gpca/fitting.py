@@ -5,8 +5,9 @@ live in the left null space of the embedded data matrix. With noise the
 null space is read off the smallest singular values, with the number of
 polynomials chosen by a penalized spectral-gap criterion; a degree-n fit
 weighs only the nullities n transversal subspaces can have. A fit carries
-the matrix's triangular factor R (R^T R = A A^T): its spectrum is a
-values-only SVD of R and its basis the `null_vectors` of R.
+the matrix's triangular factor R (R^T R = A A^T) and its spectrum, not the
+matrix A itself: the factorization consumes the lift, the spectrum is a
+values-only SVD of R and the basis the `null_vectors` of R.
 """
 
 from __future__ import annotations
@@ -45,18 +46,17 @@ class SampleSufficiencyWarning(UserWarning):
 
 @dataclass(frozen=True, eq=False)
 class EmbeddedMatrix:
-    """Column-wise Veronese lift of a point set, its triangular factor and spectrum.
+    """Triangular factor and spectrum of the column-wise Veronese lift of a point set.
 
-    `matrix` has shape (M, N) with M = monomial_count(degree, dim); column j
-    is the lift of `points[j]`. `factor` is the (M, M) upper-triangular
-    `triangular_factor` of the matrix, with factor^T factor = matrix matrix^T,
-    and `singular_values` are its M values, descending: the matrix's own,
-    to rounding, with zeros past min(M, N).
+    The (M, N) embedded matrix A, M = monomial_count(degree, dim), has the
+    lift of `points[j]` as column j; it is not kept. `factor` is the (M, M)
+    upper-triangular `triangular_factor` of A, with factor^T factor = A A^T,
+    and `singular_values` are its M values, descending: A's own, to
+    rounding, with zeros past min(M, N).
     """
 
     degree: int
     dim: int
-    matrix: np.ndarray = field(repr=False)
     singular_values: np.ndarray = field(repr=False)
     points: np.ndarray = field(repr=False)
     factor: np.ndarray = field(repr=False)
@@ -123,12 +123,10 @@ def embed(X, degree: int, *, warn: bool = True) -> EmbeddedMatrix:
             stacklevel=2,
         )
     pts = unit_rows(X)
-    matrix = veronese_lift(pts, degree).T
-    factor = triangular_factor(matrix)
+    factor = triangular_factor(veronese_lift(pts, degree).T)
     return EmbeddedMatrix(
         degree=degree,
         dim=dim,
-        matrix=matrix,
         singular_values=np.linalg.svd(factor, compute_uv=False),
         points=pts,
         factor=factor,
@@ -153,15 +151,15 @@ def _rank_criterion(sv: np.ndarray, kappa, max_rank: int) -> tuple[np.ndarray, n
     return np.argmin(values, axis=1) + 1, values
 
 
-def select_rank(singular_values, *, total: int | None = None, nullities=None) -> RankDecision:
+def select_rank(singular_values, *, nullities=None) -> RankDecision:
     """Effective rank of a descending spectrum by penalized spectral gap.
 
     Minimizes sigma_{r+1}^2 / sum_{j<=r} sigma_j^2 + KAPPA * r (ties to the
-    lowest r); singular values past the end of the list, up to `total`,
-    count as exact zeros. The candidate ranks are total - k for k in
-    `nullities`, by default 1 .. total-1 so that a fit always keeps at least
-    one vanishing polynomial. Rank probes in model discovery allow nullity 0
-    ("no deficiency"; its criterion value is exactly KAPPA * total), and a
+    lowest r) over the spectrum's length `total`, which counts its exact
+    zeros. The candidate ranks are total - k for k in `nullities`, by
+    default 1 .. total-1 so that a fit always keeps at least one vanishing
+    polynomial. Rank probes in model discovery allow nullity 0 ("no
+    deficiency"; its criterion value is exactly KAPPA * total), and a
     top-degree fit only the nullities its arrangements can have.
     """
     sv = np.asarray(singular_values, dtype=float).ravel()
@@ -169,15 +167,13 @@ def select_rank(singular_values, *, total: int | None = None, nullities=None) ->
         raise ValueError("empty singular spectrum")
     if np.any(sv < 0) or np.any(np.diff(sv) > 1e-12 * max(sv[0], 1.0)):
         raise ValueError("singular values must be non-negative and descending")
-    total = int(total) if total is not None else sv.size
-    if total < sv.size:
-        raise ValueError("total cannot be smaller than the number of values given")
+    total = sv.size
     if not np.any(sv > 0):
         raise DegenerateDataError("all singular values are zero")
     ranks = np.sort(total - np.array(range(1, total) if nullities is None else nullities, int))
     if not ranks.size or ranks[0] < 1 or ranks[-1] > total:
         raise ValueError(f"no candidate ranks in [1, {total}]")
-    values = _rank_criterion(np.pad(sv, (0, total - sv.size))[None], KAPPA, total)[1][0]
+    values = _rank_criterion(sv[None], KAPPA, total)[1][0]
     rank = int(ranks[np.argmin(values[ranks - 1])])
     return RankDecision(effective_rank=rank, nullity=total - rank)
 

@@ -151,11 +151,13 @@ def algebraic_distance2(P: PolynomialBasis, x):
     else:
         _, sv, rows = np.linalg.svd(grads, full_matrices=False)
     top = sv[:, 0]
-    safe_top = np.where(top > 0.0, top, 1.0)
     # Per-point truncation scale: spurious directions shrink with the distance
-    # itself, so the penalty floor is raised to the squared evident
-    # displacement scale (degree * ||values|| / leading singular value).
-    scale = _TRUNCATION_MARGIN * P.degree * np.linalg.norm(values, axis=1) / safe_top
+    # itself, so the penalty floor is raised to the squared evident relative
+    # displacement (degree * ||values|| / (leading singular value * ||x||)),
+    # which is free of the data's units.
+    reach = top * np.linalg.norm(X, axis=1)
+    scale = _TRUNCATION_MARGIN * P.degree * np.linalg.norm(values, axis=1)
+    scale = scale / np.where(reach > 0.0, reach, 1.0)
     kappa_eff = np.maximum(KAPPA, scale**2)
     ranks, _ = _rank_criterion(sv, kappa_eff, sv.shape[1])
     keep = np.arange(sv.shape[1]) < ranks[:, None]

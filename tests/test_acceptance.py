@@ -96,11 +96,7 @@ class TestCriterion2MixedDimensionRanks:
         ranks = {}
         for degree in (1, 2, 3):
             em = embed(X, degree, warn=False)
-            decision = select_rank(
-                em.singular_values,
-                total=monomial_count(degree, 3),
-                nullities=range(monomial_count(degree, 3)),
-            )
+            decision = select_rank(em.singular_values, nullities=range(monomial_count(degree, 3)))
             ranks[degree] = decision.effective_rank
 
         seg, rep = recursive_segment(X, 4)

@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 from util import lines_plus_plane, random_projection, two_coordinate_lines
 
-from gpca._linalg import max_principal_angle
+from gpca import discovery
+from gpca._linalg import max_principal_angle, unit_rows
 from gpca.discovery import (
     DiscoveryReport,
+    _probe,
     count_hyperplanes,
     discover_equal_dim,
     project,
     recursive_segment,
 )
 from gpca.errors import DiscoveryError
-from gpca.fitting import hilbert_nullity
+from gpca.fitting import embed, hilbert_nullity, select_rank
 from gpca.metrics import matched_accuracy
 from gpca.motion import epipolar_lines, synthetic_translations
 from gpca.synthgen import ArrangementSpec, generate
+from gpca.veronese import veronese_lift
 
 
 class TestProject:
@@ -59,10 +62,58 @@ class TestProject:
         # the completion rows are orthogonal to the points
         assert np.allclose(Xp[:, 2], 0.0, atol=1e-12)
 
+    def test_fortran_ordered_points_are_left_unchanged(self):
+        # the triangular factor consumes its argument, so project factors a copy
+        X, _, _ = generate(ArrangementSpec(4, (2, 3), 50, 0.01, seed=4))
+        X = np.asfortranarray(X)
+        before = X.copy()
+        project(X, 3)
+        assert np.array_equal(X, before)
+
     def test_upward_projection_rejected(self):
         X = np.zeros((10, 3))
         with pytest.raises(ValueError):
             project(X, 4)
+
+
+def reference_probe_nullity(points, degree):
+    """A probe's nullity by the residual rule: the best null direction of the lift must vanish.
+
+    The direction is the trailing left singular vector of the embedded matrix
+    A from numpy's SVD; it counts when max_j |v . a_j| / ||a_j|| <= 1e-6.
+    """
+    lift = veronese_lift(unit_rows(points), degree).T
+    direction = np.linalg.svd(lift)[0][:, -1]
+    residual = np.max(np.abs(direction @ lift) / np.linalg.norm(lift, axis=0))
+    count = lift.shape[0]
+    nullity = select_rank(embed(points, degree).singular_values, nullities=range(count)).nullity
+    return nullity if residual <= 1e-6 else 0
+
+
+class TestProbeRule:
+    @pytest.mark.parametrize("sigma", [0.0, 0.01])
+    @pytest.mark.parametrize("spec", [(5, (1, 2, 3)), (5, (2, 2, 2)), (4, (3, 3, 3)), (3, (2, 2))])
+    def test_spectrum_rule_agrees_with_the_residual_rule(self, monkeypatch, spec, sigma):
+        # the smallest singular value against the spectrum's norm is ||A^T v|| / ||A||_F
+        # for the best null direction v; on these inputs it decides as the
+        # per-column residuals of v do, probe by probe
+        calls = []
+
+        def recording(points, degree):
+            probe = _probe(points, degree)
+            calls.append((points, degree, probe.nullity))
+            return probe
+
+        monkeypatch.setattr(discovery, "_probe", recording)
+        for seed in range(3):
+            X, _, _ = generate(ArrangementSpec(*spec, 100, sigma, seed=seed))
+            try:
+                recursive_segment(X, 4)
+            except DiscoveryError:
+                pass
+        assert calls
+        for points, degree, nullity in calls:
+            assert nullity == reference_probe_nullity(points, degree)
 
 
 class TestCountHyperplanes:

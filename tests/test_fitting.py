@@ -64,7 +64,7 @@ class TestEmbed:
         X = np.random.default_rng(1).standard_normal((6, 3)) * 5.0
         em = embed(X, 2)
         for j in range(6):
-            assert np.allclose(em.matrix[:, j], veronese_lift(em.points[j], 2))
+            assert np.allclose(veronese_lift(em.points, 2).T[:, j], veronese_lift(em.points[j], 2))
             assert np.linalg.norm(em.points[j]) == pytest.approx(1.0)
 
 
@@ -80,7 +80,8 @@ class TestSelectRank:
     def test_mixed_dims_config_rank_five_of_six(self):
         X, _, _ = lines_plus_plane(points_per=150)
         em = embed(X, 2)
-        decision = select_rank(em.singular_values, total=6)
+        assert em.singular_values.size == 6
+        decision = select_rank(em.singular_values)
         assert (decision.effective_rank, decision.nullity) == (5, 1)
 
     def test_all_zero_is_degenerate(self):
@@ -156,11 +157,11 @@ class TestRankCriterionOracle:
                 hi = total - lowest_nullity
                 if hi < 1:
                     continue
-                decision = select_rank(sv, total=total, nullities=range(lowest_nullity, total))
+                decision = select_rank(padded[0], nullities=range(lowest_nullity, total))
                 assert decision.effective_rank == reference_criterion_rank(sv, KAPPA, total, 1, hi)[0]
             # an allowed-nullity set picks the criterion's argmin over its ranks
             allowed = rng.choice(total, size=int(rng.integers(1, total + 1)), replace=False)
-            decision = select_rank(sv, total=total, nullities=allowed)
+            decision = select_rank(padded[0], nullities=allowed)
             ranks = np.sort(total - allowed)
             trailing = np.append(sv, np.zeros(total + 1 - size))[ranks] ** 2
             energy = np.cumsum(np.append(sv, np.zeros(total - size)) ** 2)[ranks - 1]
@@ -212,7 +213,7 @@ class TestVanishingBasis:
         em = embed(X, 3)
         basis = fit_vanishing(em)[0]
         values = np.abs(basis.evaluate(em.points))
-        scales = np.linalg.norm(em.matrix, axis=0)
+        scales = np.linalg.norm(veronese_lift(em.points, 3).T, axis=0)
         assert np.all(values.max(axis=1) <= 1e-8 * np.maximum(scales, 1e-30))
 
     def test_span_containment_of_products(self):

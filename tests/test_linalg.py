@@ -85,7 +85,7 @@ class TestTriangularFactor:
     @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
     def test_gram_and_spectrum_match(self, shape):
         A = np.random.default_rng(sum(shape)).standard_normal(shape)
-        R = triangular_factor(A)
+        R = triangular_factor(A.copy())
         M, N = shape
         assert R.shape == (M, M)
         assert np.array_equal(R, np.triu(R))
@@ -106,10 +106,11 @@ class TestTriangularFactor:
             A = np.asfortranarray(A)
         elif layout == "strided":
             A = np.repeat(A, 2, axis=1)[:, ::2]
-        R = triangular_factor(A)
         M, N = shape
         ref = np.zeros((M, M))
         ref[: min(M, N)] = np.linalg.qr(A.T, mode="r")
+        # the factor consumes a C-ordered A, so the reference comes first
+        R = triangular_factor(A)
         assert np.abs(R - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.all(R[min(M, N) :] == 0.0)
 
@@ -154,7 +155,7 @@ class TestNullVectors:
     def test_exactly_singular_factor(self, spec, degree):
         X, _, _ = generate(spec)
         em = embed(X, degree)
-        nullity = select_rank(em.singular_values, total=len(em.singular_values)).nullity
+        nullity = select_rank(em.singular_values).nullity
         if spec.dims == (1, 1, 1):
             # rank 3 of 35: each line lifts to one direction
             assert nullity == 32
@@ -165,7 +166,7 @@ class TestNullVectors:
     def test_padded_factor_of_fewer_columns(self):
         A = np.random.default_rng(3).standard_normal((30, 12))
         U, sv, _ = np.linalg.svd(A)
-        got = null_vectors(triangular_factor(A), 18)
+        got = null_vectors(triangular_factor(A.copy()), 18)
         assert np.abs(A.T @ got).max() <= 1e-14 * sv[0]
         assert max_principal_angle(got, U[:, 12:]) <= 1e-12
 

@@ -42,7 +42,7 @@ from gpca.segmentation import (
 )
 from gpca.synthgen import ArrangementSpec, angle_error, generate, generate_from_bases
 from gpca.synthgen import _random_subspace_bases
-from gpca.veronese import monomial_count
+from gpca.veronese import monomial_count, veronese_lift
 
 
 LINE_MODEL = SubspaceModel(
@@ -184,6 +184,16 @@ class TestAlgebraicDistance:
         assert (got == 0.0).any() == (sigma == 0.0)
         finite = np.isfinite(expected)
         assert np.allclose(got[finite], expected[finite], rtol=1e-12, atol=0.0)
+
+    def test_multi_polynomial_distances_scale_with_the_data(self):
+        # the truncation reads the displacement relative to ||x||, so
+        # d2(cX) = c^2 d2(X) also where the basis has several polynomials
+        X, _, _ = generate(ArrangementSpec(5, (1, 2, 3), 60, 0.001, seed=0))
+        P = fit_vanishing(embed(X, 3))[0]
+        assert len(P) > 1
+        d2 = algebraic_distance2(P, X)
+        for c in (1e-3, 1e3):
+            assert np.allclose(algebraic_distance2(P, c * X), c**2 * d2, rtol=1e-9, atol=0.0)
 
     def test_exact_points_are_zero_at_any_scale(self):
         X, _, _ = generate(ArrangementSpec(3, (2, 2), 50, 0.0, seed=7))
@@ -402,13 +412,14 @@ class TestSegment:
         em = embed(X, 2)
         basis = fit_vanishing(em)[0]
         c = basis.coefficients[0]
-        best = np.linalg.norm(c @ em.matrix)
+        lift = veronese_lift(em.points, 2).T
+        best = np.linalg.norm(c @ lift)
         assert best == pytest.approx(em.singular_values[-1], rel=1e-9)
         rng = np.random.default_rng(11)
         for _ in range(50):
             other = rng.standard_normal(6)
             other /= np.linalg.norm(other)
-            assert np.linalg.norm(other @ em.matrix) >= best - 1e-12
+            assert np.linalg.norm(other @ lift) >= best - 1e-12
 
     @pytest.mark.parametrize(
         "dim,dims", [(3, (2, 2, 2)), (4, (3, 3, 3)), (5, (1, 2, 3)), (4, (2, 2)), (5, (4, 4, 4, 4))]
@@ -660,6 +671,26 @@ class TestRejectOutliers:
         basis = fit_vanishing(embed(X, 2))[0]
         for mode, level in [("percentile", 0.9), ("chi2", 0.999)]:
             assert reject_outliers(X, basis, mode, level).all()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ArrangementSpec(5, (1, 2, 3), 100, 0.001, seed=0),
+            ArrangementSpec(6, (2, 3, 4), 100, 0.001, seed=1),
+        ],
+        ids=["mixed-R5", "mixed-R6"],
+    )
+    def test_chi2_mask_is_free_of_the_units(self, spec):
+        # 20 uniform outliers; the basis is refit at each scale
+        X, _, _ = generate(spec)
+        rng = np.random.default_rng(0)
+        X = np.vstack([X, rng.uniform(-1.0, 1.0, (20, spec.ambient_dim)) * np.abs(X).max()])
+        masks = [
+            reject_outliers(c * X, fit_vanishing(embed(c * X, 3))[0], "chi2", 0.999)
+            for c in (1e-3, 1.0, 1e3)
+        ]
+        assert len(fit_vanishing(embed(X, 3))[0]) > 1
+        assert np.array_equal(masks[0], masks[1]) and np.array_equal(masks[1], masks[2])
 
     def test_bad_mode_rejected(self):
         X, _, _ = generate(ArrangementSpec(3, (2, 2), 50, 0.0, seed=13))

@@ -87,8 +87,7 @@ def peel(embedded, model):
     raised = embedded.factor.T[raise_table(embedded.degree, embedded.dim)]
     blocks = model.complement_basis.T @ raised
     factor = triangular_factor(blocks.reshape(blocks.shape[0], -1))
-    total = monomial_count(embedded.degree - 1, embedded.dim)
-    nullity = select_rank(np.linalg.svd(factor, compute_uv=False), total=total).nullity
+    nullity = select_rank(np.linalg.svd(factor, compute_uv=False)).nullity
     return PolynomialBasis(embedded.degree - 1, embedded.dim, null_vectors(factor, nullity).T)
 
 
@@ -133,8 +132,9 @@ def svd_distance2(P, X):
     values, grads = _values_and_gradients(P, X)
     _, sv, rows = np.linalg.svd(grads, full_matrices=False)
     top = sv[:, 0]
-    safe_top = np.where(top > 0.0, top, 1.0)
-    scale = _TRUNCATION_MARGIN * P.degree * np.linalg.norm(values, axis=1) / safe_top
+    reach = top * np.linalg.norm(X, axis=1)
+    scale = _TRUNCATION_MARGIN * P.degree * np.linalg.norm(values, axis=1)
+    scale = scale / np.where(reach > 0.0, reach, 1.0)
     ranks, _ = _rank_criterion(sv, np.maximum(KAPPA, scale**2), sv.shape[1])
     keep = (np.arange(sv.shape[1]) < ranks[:, None]) & (sv > PINV_RTOL * sv[:, :1])
     proj = np.einsum("nkm,nm->nk", rows, values)
