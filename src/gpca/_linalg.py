@@ -124,15 +124,17 @@ def orthonormal_completion(U):
 def principal_angles(A, B):
     """Principal angles (radians, descending) between span(A) and span(B).
 
-    Both inputs must have orthonormal columns. Uses the sine-based formula
-    for small angles, where arccos of the cosine loses all precision.
+    Both inputs must have orthonormal columns; spans of different widths
+    give min(widths) angles. Uses the sines, the singular values of the
+    narrower span's part outside the wider one, for small angles, where
+    arccos of the cosine loses all precision.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     k = min(A.shape[1], B.shape[1])
     if k == 0:
         return np.zeros(0)
-    if A.shape[1] > B.shape[1]:
+    if A.shape[1] < B.shape[1]:
         A, B = B, A
     cos = np.linalg.svd(A.T @ B, compute_uv=False)[:k]
     cos = np.clip(cos, -1.0, 1.0)

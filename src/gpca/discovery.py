@@ -127,7 +127,7 @@ def project(X, new_dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _probe(X, degree) -> RankProbe:
-    sv = embed(X, degree, warn=False).singular_values
+    sv = embed(X, degree).singular_values
     dim, count = X.shape[1], sv.size
     nullity = select_rank(sv, nullities=range(count)).nullity
     if sv[-1] > _VANISH_TOL * np.linalg.norm(sv):

@@ -97,7 +97,7 @@ def hilbert_nullity(dims, ambient_dim: int, degree: int) -> int:
     return terms(0, ambient_dim, 1)
 
 
-def embed(X, degree: int, *, warn: bool = True) -> EmbeddedMatrix:
+def embed(X, degree: int) -> EmbeddedMatrix:
     """Assemble the embedded data matrix of a point set at the given degree.
 
     Points are scaled to unit norm first: lifted entries grow like
@@ -115,7 +115,7 @@ def embed(X, degree: int, *, warn: bool = True) -> EmbeddedMatrix:
     if not np.isfinite(X).all():
         raise ValueError("points must be finite; got NaN or inf")
     needed = min_samples(degree, dim)
-    if warn and n_points < needed:
+    if n_points < needed:
         warnings.warn(
             f"{n_points} samples for {monomial_count(degree, dim)} degree-{degree} monomials; "
             f"at least {needed} are needed to isolate the null space",
@@ -133,20 +133,19 @@ def embed(X, degree: int, *, warn: bool = True) -> EmbeddedMatrix:
     )
 
 
-def _rank_criterion(sv: np.ndarray, kappa, max_rank: int) -> tuple[np.ndarray, np.ndarray]:
+def _rank_criterion(sv: np.ndarray, kappa) -> tuple[np.ndarray, np.ndarray]:
     """Penalized spectral-gap rank of each row of descending spectra.
 
-    `sv` is (n, K) with K >= max_rank, zero-padded past each row's values;
-    kappa is a scalar or one value per row. Returns the ranks (n,) that
-    minimize sv_{r+1}^2 / sum_{j<=r} sv_j^2 + kappa * r over r = 1..max_rank
-    (ties to the lowest r) and the criterion values (n, max_rank). Past a
-    row's last nonzero value the criterion is kappa * r, which rises, so
-    exact zeros never win.
+    `sv` is (n, K), zero-padded past each row's values; kappa is a scalar
+    or one value per row. Returns the ranks (n,) that minimize
+    sv_{r+1}^2 / sum_{j<=r} sv_j^2 + kappa * r over r = 1..K (ties to the
+    lowest r) and the criterion values (n, K). Past a row's last nonzero
+    value the criterion is kappa * r, which rises, so exact zeros never win.
     """
-    energy = np.cumsum(sv**2, axis=1)[:, :max_rank]
-    trailing = np.concatenate([sv[:, 1:] ** 2, np.zeros((len(sv), 1))], axis=1)[:, :max_rank]
+    energy = np.cumsum(sv**2, axis=1)
+    trailing = np.concatenate([sv[:, 1:] ** 2, np.zeros((len(sv), 1))], axis=1)
     safe_energy = np.where(energy > 0.0, energy, 1.0)
-    ranks = np.arange(1, max_rank + 1)
+    ranks = np.arange(1, sv.shape[1] + 1)
     values = trailing / safe_energy + np.reshape(kappa, (-1, 1)) * ranks
     return np.argmin(values, axis=1) + 1, values
 
@@ -173,7 +172,7 @@ def select_rank(singular_values, *, nullities=None) -> RankDecision:
     ranks = np.sort(total - np.array(range(1, total) if nullities is None else nullities, int))
     if not ranks.size or ranks[0] < 1 or ranks[-1] > total:
         raise ValueError(f"no candidate ranks in [1, {total}]")
-    values = _rank_criterion(sv[None], KAPPA, total)[1][0]
+    values = _rank_criterion(sv[None], KAPPA)[1][0]
     rank = int(ranks[np.argmin(values[ranks - 1])])
     return RankDecision(effective_rank=rank, nullity=total - rank)
 

@@ -11,7 +11,10 @@ tighter angle if the points run out). Labels come by smallest residual,
 each complement is refit by PCA on its points, and labels are read again.
 
 `select_point` is one vote round and `model_at_point` the normal space at
-one point, over the same helpers. Distances at rounding level are exactly 0.
+one point, over the same helpers. First-order distances read the same
+gradient spectra: by Euler's identity a point's distance is the length of
+its coordinates in its normal space over the degree, exactly 0 at rounding
+level.
 """
 
 from __future__ import annotations
@@ -35,9 +38,6 @@ __all__ = [
     "segment",
     "reject_outliers",
 ]
-
-# Singular values below this fraction of the largest are zero in pseudo-inverses.
-PINV_RTOL = 1e-10
 
 # A point votes for a candidate of codimension c when the squared sines of
 # the principal angles between their top-c normal spaces sum to at most
@@ -115,57 +115,51 @@ class Segmentation:
         return tuple(m.dim for m in self.models)
 
 
-def _values_and_gradients(P: PolynomialBasis, X):
-    """Basis values (N, m) and gradients (N, D, m) at a batch of points.
+def _gradient_spectrum(P: PolynomialBasis, X) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's gradient left singular vectors (N, D, K) and singular values (N, K).
 
-    The values come from the gradients by Euler's identity for homogeneous
-    degree-n polynomials, x . grad p(x) = n p(x), so only the degree-(n-1)
-    lift is built.
+    With one polynomial they are the unit gradient (0 where it vanishes) and its norm.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    grads = basis_gradients(P, X)
-    return np.einsum("nd,ndm->nm", X, grads) / P.degree, grads
+    grads = basis_gradients(P, np.atleast_2d(X))
+    if len(P) == 1:
+        sv = np.linalg.norm(grads, axis=1)
+        return grads / np.where(sv > 0.0, sv, 1.0)[:, None, :], sv
+    vectors, sv, _ = np.linalg.svd(grads, full_matrices=False)
+    return vectors, sv
 
 
 def algebraic_distance2(P: PolynomialBasis, x):
     """First-order squared distance from x to the zero set of the basis.
 
-    Computed as values @ pinv(gradients^T gradients) @ values^T, scaled by
-    1/degree^2 so that degree * sqrt of the result approximates the
-    Euclidean distance to the nearest subspace. Points where the gradient
-    matrix vanishes (intersections, the origin) get +inf, and distances at
-    rounding level relative to ||x|| are exactly 0.
+    The first-order distance |p(x)| / ||grad p(x)|| (Taubin, PAMI 1991) is,
+    by Euler's identity x . grad p(x) = n p(x) for degree-n polynomials, the
+    length of x in its normal space (the gradients' left singular vectors)
+    divided by n; no pseudo-inverse is formed. The result is its square
+    over n^2, so that degree * sqrt of it approximates the Euclidean
+    distance to the nearest subspace. Points where the gradients vanish
+    (intersections, the origin) get +inf, and distances at rounding level
+    relative to ||x|| are exactly 0.
 
-    The pseudo-inverse is truncated at the penalized-criterion rank of the
-    gradient spectrum, not just at the absolute floor: when the basis holds
-    more polynomials than the local complement dimension, the gradient
-    matrix picks up spurious near-zero directions whose value/gradient
-    ratios are O(1) noise and would swamp the distance.
+    The normal space is truncated at the penalized-criterion rank of the
+    gradient spectrum: when the basis holds more polynomials than the local
+    complement dimension, the gradients pick up spurious near-zero
+    directions along which x has arbitrary O(||x||) coordinates.
     """
     x = np.asarray(x, dtype=float)
     X = np.atleast_2d(x)
-    values, grads = _values_and_gradients(P, X)
-    if len(P) == 1:
-        # A (D, 1) gradient's one singular value is its norm, its right vector [1].
-        sv, rows = np.linalg.norm(grads, axis=1), np.ones((len(X), 1, 1))
-    else:
-        _, sv, rows = np.linalg.svd(grads, full_matrices=False)
+    vectors, sv = _gradient_spectrum(P, X)
+    coords = np.einsum("ndk,nd->nk", vectors, X)
     top = sv[:, 0]
     # Per-point truncation scale: spurious directions shrink with the distance
     # itself, so the penalty floor is raised to the squared evident relative
-    # displacement (degree * ||values|| / (leading singular value * ||x||)),
-    # which is free of the data's units.
+    # displacement (||sv * coords||, which is degree * ||values|| by Euler,
+    # over the leading singular value times ||x||), free of the data's units.
     reach = top * np.linalg.norm(X, axis=1)
-    scale = _TRUNCATION_MARGIN * P.degree * np.linalg.norm(values, axis=1)
+    scale = _TRUNCATION_MARGIN * np.linalg.norm(sv * coords, axis=1)
     scale = scale / np.where(reach > 0.0, reach, 1.0)
-    kappa_eff = np.maximum(KAPPA, scale**2)
-    ranks, _ = _rank_criterion(sv, kappa_eff, sv.shape[1])
+    ranks, _ = _rank_criterion(sv, np.maximum(KAPPA, scale**2))
     keep = np.arange(sv.shape[1]) < ranks[:, None]
-    keep &= sv > PINV_RTOL * sv[:, :1]
-    proj = np.einsum("nkm,nm->nk", rows, values)
-    safe_sv = np.where(keep & (sv > 0.0), sv, 1.0)
-    terms = np.where(keep, (proj / safe_sv) ** 2, 0.0)
-    d2 = terms.sum(axis=1) / float(P.degree) ** 2
+    d2 = np.where(keep, coords**2, 0.0).sum(axis=1) / float(P.degree) ** 4
     d2 = np.where(d2 > _ROUNDING_D2 * np.einsum("nd,nd->n", X, X), d2, 0.0)
     d2 = np.where(top > 0.0, d2, np.inf)
     return float(d2[0]) if x.ndim == 1 else d2
@@ -184,17 +178,12 @@ _ROUNDING_D2 = 1e-24
 def _normal_spaces(P: PolynomialBasis, X) -> tuple[np.ndarray, np.ndarray]:
     """Per-point normal spaces (N, D, K) of the basis gradients, and their ranks (N,).
 
-    Point j's block holds its gradients' left singular vectors, zeroed past
-    its rank, which the penalized spectral criterion reads (0 where every
-    gradient vanishes). With one polynomial the normal is the unit gradient.
+    Point j's block holds its `_gradient_spectrum` vectors, zeroed past its
+    rank, which the penalized spectral criterion reads (0 where every
+    gradient vanishes).
     """
-    grads = basis_gradients(P, np.atleast_2d(X))
-    if len(P) == 1:
-        sv = np.linalg.norm(grads, axis=1)
-        normals = grads / np.where(sv > 0.0, sv, 1.0)[:, None, :]
-    else:
-        normals, sv, _ = np.linalg.svd(grads, full_matrices=False)
-    ranks = np.where(sv[:, 0] > 0.0, _rank_criterion(sv, KAPPA, sv.shape[1])[0], 0)
+    normals, sv = _gradient_spectrum(P, X)
+    ranks = np.where(sv[:, 0] > 0.0, _rank_criterion(sv, KAPPA)[0], 0)
     normals = normals * (np.arange(sv.shape[1]) < ranks[:, None])[:, None, :]
     return normals, ranks
 
@@ -408,26 +397,30 @@ def reject_outliers(
     normalized distance is below the chi-square quantile at `threshold`.
     Distances are evaluated at the raw points: additive noise gives
     chi-square behavior in absolute units, not after per-point rescaling.
-    `dof` defaults to the basis degree, exact for hyperplane arrangements
-    when it matches the per-point codimension; pass the known value
-    otherwise. Refitting on the surviving points is the caller's loop.
+    `dof`, an integer >= 1, defaults to the basis degree n, while a point's
+    residual has as many degrees of freedom as its codimension (one on a
+    hyperplane, whatever n), so pass the known value. Refitting on the
+    surviving points is the caller's loop. Bad arguments raise ValueError
+    before any distance is computed.
     """
+    if mode not in ("percentile", "chi2"):
+        raise ValueError(f"unknown outlier mode {mode!r}")
+    if not 0.0 < threshold < 1.0:
+        raise ValueError("threshold must be in (0, 1)")
+    dof = P.degree if dof is None else dof
+    if isinstance(dof, bool) or not isinstance(dof, (int, np.integer)) or dof < 1:
+        raise ValueError(f"dof must be an integer >= 1, got {dof!r}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     d2 = algebraic_distance2(P, X)
     d2 = np.where(np.isfinite(d2), d2, 0.0)
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must be in (0, 1)")
     if mode == "percentile":
         mask = d2 <= np.quantile(d2, threshold)
-    elif mode == "chi2":
-        dof = P.degree if dof is None else int(dof)
+    else:
         sigma2 = float(np.median(d2)) / _chi2_quantile(0.5, dof)
         if sigma2 <= 1e-300:
             mask = np.ones(X.shape[0], dtype=bool)
         else:
             mask = d2 / sigma2 <= _chi2_quantile(threshold, dof)
-    else:
-        raise ValueError(f"unknown outlier mode {mode!r}")
     if not mask.any():
         raise FitError("outlier rejection removed every point")
     return mask

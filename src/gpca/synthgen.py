@@ -166,7 +166,8 @@ def angle_error(true_models, estimated_models) -> float:
     Models are matched by minimal total angle before averaging. Hyperplane
     complements compare as normal vectors with sign ignored, since a normal
     is only defined up to sign; higher-codimension complements compare by
-    largest principal angle.
+    largest principal angle. A pair of different codimensions scores 90
+    degrees, so a model of the wrong dimension is never near its truth.
     """
     # scipy is imported on first use: it takes longer to import than gpca.
     from scipy.optimize import linear_sum_assignment
@@ -181,7 +182,9 @@ def angle_error(true_models, estimated_models) -> float:
     angle = np.zeros((n, n))
     for i, bt in enumerate(true_bases):
         for j, be in enumerate(est_bases):
-            if bt.shape[1] > 1 or be.shape[1] > 1:
+            if bt.shape[1] != be.shape[1]:
+                angle[i, j] = np.pi / 2
+            elif bt.shape[1] > 1:
                 angle[i, j] = max_principal_angle(bt, be)
     # every pair of hyperplane normals at once, sign-free, on atan2 so that
     # angles near zero keep full relative precision

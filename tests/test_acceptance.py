@@ -95,7 +95,7 @@ class TestCriterion2MixedDimensionRanks:
 
         ranks = {}
         for degree in (1, 2, 3):
-            em = embed(X, degree, warn=False)
+            em = embed(X, degree)
             decision = select_rank(em.singular_values, nullities=range(monomial_count(degree, 3)))
             ranks[degree] = decision.effective_rank
 

@@ -146,7 +146,7 @@ class TestRankCriterionOracle:
             kappa = float(10.0 ** rng.uniform(-9, -2))
             padded = np.zeros((1, total))
             padded[0, :size] = sv
-            _, values = _rank_criterion(padded, kappa, total)
+            _, values = _rank_criterion(padded, kappa)
             for lo in range(1, total + 1):
                 for hi in range(lo, total + 1):
                     rank, ref_values = reference_criterion_rank(sv, kappa, total, lo, hi)
@@ -174,7 +174,7 @@ class TestRankCriterionOracle:
             sv = np.stack([random_spectrum(rng, k) for _ in range(n)])
             sv[rng.random(n) < 0.1] = 0.0  # gradientless points
             kappa = 10.0 ** rng.uniform(-9, 1, n)
-            ranks, _ = _rank_criterion(sv, kappa, k)
+            ranks, _ = _rank_criterion(sv, kappa)
             keep = np.arange(k) < ranks[:, None]
             assert np.array_equal(keep, reference_keep_mask(sv, kappa))
 
@@ -240,8 +240,8 @@ class TestVanishingBasis:
     def test_monotone_nullity(self):
         spec_small = ArrangementSpec(3, (2, 2), 30, 0.0, seed=8)
         spec_large = ArrangementSpec(3, (2, 2), 90, 0.0, seed=8)
-        _, d_small = fit_vanishing(embed(generate(spec_small)[0], 3, warn=False))
-        _, d_large = fit_vanishing(embed(generate(spec_large)[0], 3, warn=False))
+        _, d_small = fit_vanishing(embed(generate(spec_small)[0], 3))
+        _, d_large = fit_vanishing(embed(generate(spec_large)[0], 3))
         assert d_large.nullity <= d_small.nullity
 
 

@@ -4,7 +4,7 @@ factor and its null vectors, against numpy's SVD."""
 import numpy as np
 import pytest
 
-from gpca._linalg import max_principal_angle, null_vectors, triangular_factor
+from gpca._linalg import max_principal_angle, null_vectors, principal_angles, triangular_factor
 from gpca.discovery import project
 from gpca.fitting import embed, select_rank
 from gpca.synthgen import ArrangementSpec, generate
@@ -173,3 +173,32 @@ class TestNullVectors:
     def test_two_calls_give_the_same_bytes(self):
         R = triangular_factor(planted_gap(30, 200, 3, seed=5))
         assert null_vectors(R, 3).tobytes() == null_vectors(R, 3).tobytes()
+
+
+class TestPrincipalAngles:
+    """Spans of any two widths, against scipy.linalg.subspace_angles."""
+
+    def test_mixed_widths_match_scipy(self):
+        from scipy.linalg import subspace_angles
+
+        rng = np.random.default_rng(6)
+        for _ in range(400):
+            D = int(rng.integers(3, 9))
+            a, b = rng.choice(np.arange(1, D), size=2, replace=False)
+            A = np.linalg.qr(rng.standard_normal((D, a)))[0]
+            # part of B near span(A), so that small angles occur
+            B = rng.standard_normal((D, b))
+            B[:, 0] = A @ rng.standard_normal(a) + 10.0 ** rng.uniform(-8, 0) * B[:, 0]
+            B = np.linalg.qr(B)[0]
+            got, expected = principal_angles(A, B), subspace_angles(A, B)
+            assert got.shape == expected.shape == (min(a, b),)
+            assert abs(got[0] - expected[0]) <= 1e-12
+            # scipy's arccos branch is good to about 3e-8 near 0
+            assert np.abs(got - expected).max() <= 1e-7
+            assert np.array_equal(got, principal_angles(B, A))
+
+    def test_line_inside_a_plane_is_at_zero(self):
+        E = np.eye(3)
+        assert max_principal_angle(E[:, [0]], E[:, [0, 1]]) == 0.0
+        assert max_principal_angle(E[:, [0, 1]], E[:, [0]]) == 0.0
+        assert max_principal_angle(E[:, [2]], E[:, [0, 1]]) == pytest.approx(np.pi / 2)

@@ -121,7 +121,8 @@ class TestAngleError:
     @pytest.mark.parametrize("seed", range(5))
     def test_batched_normals_match_per_pair_angles(self, seed):
         # hyperplane normals of either sign, scaled, and mixed with wider
-        # complements: every pair scores as vector_angle or max_principal_angle
+        # complements: every pair of equal widths scores as vector_angle or
+        # max_principal_angle, and every pair of different widths 90 degrees
         rng = np.random.default_rng(seed)
         D, n = 4, 6
         widths = [1, 1, 2, 1, 3, 1] if seed % 2 else [1] * n
@@ -132,8 +133,10 @@ class TestAngleError:
         angle = np.array(
             [
                 [
-                    vector_angle(t[:, 0], e[:, 0])
-                    if t.shape[1] == e.shape[1] == 1
+                    np.pi / 2
+                    if t.shape[1] != e.shape[1]
+                    else vector_angle(t[:, 0], e[:, 0])
+                    if t.shape[1] == 1
                     else max_principal_angle(t, e)
                     for e in est
                 ]
@@ -165,6 +168,14 @@ class TestAngleError:
             complement_basis=rot @ np.eye(3)[:, 1:], dim=1, representative=np.zeros(3)
         )
         assert angle_error([line_a], [line_b]) == pytest.approx(5.0, rel=1e-9)
+
+    def test_different_codimensions_score_ninety_degrees(self):
+        # a plane's normal inside a line's complement is still the wrong dim
+        line = SubspaceModel(complement_basis=np.eye(3)[:, 1:], dim=1, representative=np.zeros(3))
+        plane = self.plane_model([0.0, 1.0, 0.0])
+        assert max_principal_angle(line.complement_basis, plane.complement_basis) == 0.0
+        assert angle_error([line], [plane]) == 90.0
+        assert angle_error([line, plane], [plane, line]) == 0.0
 
 
 class TestDatasetFiles:
